@@ -89,6 +89,8 @@ def _weight_set_json(
     }
     if depth is not None:
         out["depth"] = depth
+    if ws.method == "hull":
+        out["complete"] = ws.complete
     return out
 
 

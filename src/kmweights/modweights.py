@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cartan import GCM
 from .errors import InfiniteStabilizer, NotDominantIntegral
-from .lp import feasible
+from .lp import Certificates, Proof, feasible
 from .roots import positive_imaginary_up_to, positive_real_up_to
 from .weights import (
     HighestWeight,
@@ -24,6 +25,7 @@ from .weights import (
     ht,
     in_parabolic_dominant,
     integrability_set,
+    is_positive,
     neg,
     zero_offset,
 )
@@ -37,6 +39,7 @@ class WeightSet:
     bound: int
     members: frozenset[Offset]
     method: str
+    complete: bool = True
 
     def sorted_members(self) -> list[Offset]:
         return sorted(self.members)
@@ -52,11 +55,29 @@ class HullModel:
     Vertices are offsets of w lambda; rays are the weight-space directions
     -w alpha_i for i outside the integrability set.  Generated to Weyl-word
     depth L, so membership answers are sound but only depth-complete.
+    `complete` is true when W_J has no element longer than L, so the
+    generators are all of them and a non-member is certainly outside.
+
+    `certificates` holds the membership LP matrix, built once per model,
+    and the exact proofs that earlier `hull_contains` solves left on it.
     """
 
     vertices: frozenset[Offset]
     rays: frozenset[SignedOffset]
     depth: int
+    complete: bool
+
+    @cached_property
+    def certificates(self) -> Certificates:
+        # Columns: one per vertex (with convexity row 1), one per ray.
+        # Rows: n coordinate equations, then sum of vertex weights = 1.
+        # Ray directions are stored in weight space; offsets grow along -ray.
+        verts = sorted(self.vertices)
+        rays = sorted(self.rays)
+        n = len(verts[0])
+        a = [[v[k] for v in verts] + [-r[k] for r in rays] for k in range(n)]
+        a.append([1] * len(verts) + [0] * len(rays))
+        return Certificates(a)
 
 
 def _offsets_up_to(n: int, bound: int) -> Iterator[Offset]:
@@ -134,15 +155,10 @@ def _slice_union(
     lam: HighestWeight, g: GCM, nodes: Sequence[int], bound: int
 ) -> set[Offset]:
     """Union over b supported off `nodes` of b + wt_integrable(lambda - b)."""
-    outside = [i for i in range(g.n) if i not in set(nodes)]
     members: set[Offset] = set()
-    seen_slices: set[Offset] = set()
     for b in _offsets_up_to(g.n, bound):
         if any(b[i] for i in nodes):
             continue
-        key = tuple(b[i] for i in outside)
-        assert key not in seen_slices, "slices must be disjoint"
-        seen_slices.add(key)
         inner = wt_integrable(_shifted(lam, g, b), g, nodes, bound - ht(b))
         for c in inner.members:
             members.add(add(b, c))
@@ -180,31 +196,33 @@ def hull_generators(
     outside = [i for i in range(g.n) if i not in set(nodes)]
     vertices: set[Offset] = set()
     rays: set[SignedOffset] = set()
+    complete = True
     for w in enumerate_group(lam, g, nodes, height=None, cap=depth):
         vertices.add(w.displacement)
         for i in outside:
             rays.add(neg(w.apply(tuple(1 if j == i else 0 for j in range(g.n)))))
-    return HullModel(frozenset(vertices), frozenset(rays), depth)
+        # w s_i is longer than w exactly when w alpha_i > 0.
+        if w.length == depth and any(is_positive(w.simple_images[i]) for i in nodes):
+            complete = False
+    return HullModel(frozenset(vertices), frozenset(rays), depth, complete)
 
 
 def hull_contains(model: HullModel, c: Offset) -> bool:
     """Exact LP membership of the offset c in conv(vertices) + cone(rays).
 
-    True is definitive; False only means not certifiable at this depth.
+    True is definitive; False only means not certifiable at this depth,
+    unless the model is complete.  A Farkas vector or feasible basis that
+    an earlier call on the same model proved, and that checks exactly for
+    c, decides c without a new LP.
     """
-    verts = sorted(model.vertices)
-    rays = sorted(model.rays)
-    n = len(c)
-    # Columns: one per vertex (with convexity row 1), one per ray.
-    # Rows: n coordinate equations, then sum of vertex weights = 1.
-    # Ray directions are stored in weight space; offsets grow along -ray.
-    a: list[list[Fraction]] = []
-    for k in range(n):
-        row = [Fraction(v[k]) for v in verts] + [Fraction(-r[k]) for r in rays]
-        a.append(row)
-    a.append([Fraction(1)] * len(verts) + [Fraction(0)] * len(rays))
+    certs = model.certificates
     b = [Fraction(x) for x in c] + [Fraction(1)]
-    return feasible(a, b) is not None
+    known = certs.decide(b)
+    if known is None:
+        proof = Proof()
+        known = feasible(certs.a, b, proof) is not None
+        certs.learn(b, proof)
+    return known
 
 
 def wt_simple_hull(
@@ -212,25 +230,17 @@ def wt_simple_hull(
 ) -> WeightSet:
     """Hull formula: offsets of height <= bound inside conv L(lambda).
 
-    Candidates already satisfy mu <= lambda by construction.  Uses a
-    shallow model first and falls back to the full-depth model, which
-    only helps speed: membership is monotone in depth.
+    Candidates already satisfy mu <= lambda by construction.  One model
+    at Weyl-word depth `depth` (default 2 * bound + 4) decides every
+    candidate; its certificate caches leave an LP only for the candidates
+    no earlier proof settles.  The set is flagged incomplete unless the
+    model has every generator.
     """
     if depth is None:
         depth = 2 * bound + 4
-    ilam = sorted(integrability_set(lam))
-    shallow = hull_generators(lam, g, ilam, max(2, depth // 3))
-    full: Optional[HullModel] = None
-    members: set[Offset] = set()
-    for c in _offsets_up_to(g.n, bound):
-        if hull_contains(shallow, c):
-            members.add(c)
-            continue
-        if full is None:
-            full = hull_generators(lam, g, ilam, depth)
-        if hull_contains(full, c):
-            members.add(c)
-    return WeightSet(bound, frozenset(members), "hull")
+    model = hull_generators(lam, g, integrability_set(lam), depth)
+    members = frozenset(c for c in _offsets_up_to(g.n, bound) if hull_contains(model, c))
+    return WeightSet(bound, members, "hull", model.complete)
 
 
 def wt_parabolic_verma(

@@ -8,7 +8,7 @@ f_{i_1} ... f_{i_k} v_lambda are such a set.  Everything is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from math import comb
 
 from .cartan import GCM, symmetrizable
 from .errors import BudgetExceeded
@@ -27,12 +27,35 @@ def word_offset(word: LoweringWord, n: int) -> Offset:
     return tuple(out)
 
 
+def word_count(c: Offset) -> int:
+    """Number of words of offset c: the multinomial (sum c_i)! / prod c_i!."""
+    total, count = 0, 1
+    for k in c:
+        total += k
+        count *= comb(total, k)
+    return count
+
+
 def words_of_offset(c: Offset) -> list[LoweringWord]:
-    """All distinct orderings of the multiset {i with multiplicity c_i}."""
-    letters = []
-    for i, k in enumerate(c):
-        letters.extend([i] * k)
-    return sorted(set(permutations(letters)))
+    """All distinct orderings of the multiset {i with multiplicity c_i}.
+
+    Generated in lexicographic order by next-permutation steps, so only
+    the word_count(c) distinct words are ever built.
+    """
+    word = [i for i, k in enumerate(c) for _ in range(k)]
+    words = []
+    while True:
+        words.append(tuple(word))
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return words
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = reversed(word[i + 1 :])
 
 
 def _apply_e(
@@ -114,9 +137,10 @@ def simple_multiplicity(
     lam: HighestWeight, g: GCM, c: Offset, budget: int = WORD_BUDGET
 ) -> int:
     """dim L(lambda)_{lambda - c}: Gram rank on all words of offset c."""
+    count = word_count(c)
+    if count > budget:
+        raise BudgetExceeded(f"{count} words at offset {c} exceeds {budget}")
     words = words_of_offset(c)
-    if len(words) > budget:
-        raise BudgetExceeded(f"{len(words)} words at offset {c} exceeds {budget}")
     builder = GramBuilder(lam, g)
     k = len(words)
     gram = [[Fraction(0)] * k for _ in range(k)]

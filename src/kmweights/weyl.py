@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cartan import GCM, DiagramType, classify, subdiagram
-from .errors import CapExceeded, NonIntegralPairing
+from .errors import CapExceeded, NonIntegralPairing, NotDominantIntegral
 from .weights import (
     HighestWeight,
     Offset,
@@ -98,9 +98,10 @@ def _extend(lam: HighestWeight, g: GCM, w: GroupElement, i: int) -> GroupElement
         for j in range(n)
     )
     qi = lam.q[i]
-    assert qi.denominator == 1 and qi >= 0, "J-dominant integral pairing required"
+    if qi.denominator != 1 or qi < 0:
+        raise NotDominantIntegral(f"(h_{i}, lambda) = {qi}: cannot extend by s_{i}")
+    # qi >= 0 and w alpha_i > 0, so the displacement height cannot fall.
     d = add(w.displacement, tuple(int(qi) * x for x in img_i))
-    assert ht(d) >= ht(w.displacement), "height must be monotone along extensions"
     return GroupElement(w.word + (i,), new_images, d)
 
 

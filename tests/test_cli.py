@@ -172,3 +172,22 @@ def test_svg_deterministic(tmp_path):
     assert out1 == out2
     assert "<polygon" in out1
     assert "<line" in out1  # rays along the non-integrable direction
+
+
+def test_weights_hull_reports_completeness(tmp_path):
+    path = write_problem(
+        tmp_path, {"cartan": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "lambda": ["1", "0", "0"]}
+    )
+    code, out, _ = invoke(
+        ["weights", "--input", path, "--method", "hull", "--height", "8", "--depth", "2"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["complete"] is False
+    assert doc["depth"] == 2
+    path = write_problem(tmp_path, {"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"]})
+    code, out, _ = invoke(["weights", "--input", path, "--method", "hull", "--height", "4"])
+    assert code == 0
+    assert json.loads(out)["complete"] is True
+    code, out, _ = invoke(["weights", "--input", path, "--method", "slice", "--height", "4"])
+    assert "complete" not in json.loads(out)

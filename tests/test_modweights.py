@@ -185,3 +185,19 @@ def test_hull_consistency_members_certify():
     model = hull_generators(lam, g, sorted(integrability_set(lam)), 2 * H + 4)
     for c in ws.members:
         assert hull_contains(model, c)
+
+
+@pytest.mark.parametrize(
+    "q,nodes,depth,complete",
+    [
+        ([3], [0], 1, True),  # W = {1, s}: nothing longer than s
+        ([3], [0], 0, False),
+        ([Fraction(-3, 2)], [], 0, True),  # trivial W_J
+        ([1, 1], [0, 1], 3, True),  # longest element of W(A2) has length 3
+        ([1, 1], [0, 1], 2, False),
+    ],
+)
+def test_hull_model_complete_only_when_w_j_exhausted(q, nodes, depth, complete):
+    g = A1 if len(q) == 1 else A2
+    assert hull_generators(HighestWeight.of(q), g, nodes, depth).complete is complete
+

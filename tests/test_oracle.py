@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -12,6 +13,7 @@ from kmweights.oracle import (
     oracle_weight_set,
     oracle_is_advisory,
     simple_multiplicity,
+    word_count,
     words_of_offset,
 )
 from kmweights.modweights import wt_simple_slice
@@ -75,6 +77,21 @@ def test_multiplicity_adjoint_zero_weight():
 def test_multiplicity_budget():
     with pytest.raises(BudgetExceeded):
         simple_multiplicity(HighestWeight.of([1, 1]), A2, (3, 3), budget=10)
+
+
+def test_budget_checked_before_words_are_built():
+    # Offset (6, 6) has 924 words; building all 12! orderings first
+    # would exhaust memory.
+    with pytest.raises(BudgetExceeded, match="924 words"):
+        simple_multiplicity(HighestWeight.of([1, 1]), A2, (6, 6), budget=100)
+
+
+@pytest.mark.parametrize("c", [(), (0,), (0, 0), (2,), (2, 1), (1, 0, 2), (2, 2, 1), (3, 3)])
+def test_words_of_offset_sorted_distinct_orderings(c):
+    letters = [i for i, k in enumerate(c) for _ in range(k)]
+    words = words_of_offset(c)
+    assert words == sorted(set(permutations(letters)))
+    assert len(words) == word_count(c)
 
 
 def test_multiplicity_reflection_invariance_integrable():

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from kmweights.cartan import parse_gcm
-from kmweights.errors import CapExceeded, NonIntegralPairing
+from kmweights.errors import CapExceeded, NonIntegralPairing, NotDominantIntegral
 from kmweights.roots import positive_real_up_to
 from kmweights.weights import HighestWeight, ht, is_negative
 from kmweights.weyl import (
@@ -148,3 +150,9 @@ def test_stabilizer_finite_cases():
     assert stabilizer_is_finite(HighestWeight.of([0, 0]), A2, [0, 1])
     assert not stabilizer_is_finite(HighestWeight.of([0, 0]), AFF, [0, 1])
     assert stabilizer_is_finite(HighestWeight.of([1, 0]), AFF, [0, 1])
+
+
+@pytest.mark.parametrize("q", [-1, Fraction(1, 2)])
+def test_enumerate_group_rejects_non_dominant_nodes(q):
+    with pytest.raises(NotDominantIntegral):
+        list(enumerate_group(HighestWeight.of([q]), A1, [0], height=None, cap=2))
