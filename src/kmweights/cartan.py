@@ -56,12 +56,25 @@ class GCM:
 
 
 def parse_gcm(matrix: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> GCM:
-    """Validate an integer matrix (nested lists) as a GCM."""
-    try:
-        rows = tuple(tuple(int(v) for v in row) for row in matrix)
-    except (TypeError, ValueError) as exc:
-        raise InvalidGCM(f"matrix entries must be integers: {exc}") from None
-    return GCM(rows, tuple(labels) if labels else ())
+    """Validate a non-empty integer matrix (nested lists) as a GCM.
+
+    Entries must be integers and labels strings; nothing is coerced, so
+    -1.7 or a label string split into characters is an error.
+    """
+    if not isinstance(matrix, (list, tuple)) or not matrix:
+        raise InvalidGCM("matrix must be a non-empty list of rows")
+    for row in matrix:
+        if not isinstance(row, (list, tuple)):
+            raise InvalidGCM(f"matrix row {row!r} is not a list")
+        for v in row:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InvalidGCM(f"matrix entries must be integers, got {v!r}")
+    if labels is not None and (
+        not isinstance(labels, (list, tuple))
+        or not all(isinstance(x, str) for x in labels)
+    ):
+        raise InvalidGCM(f"labels must be a list of strings, got {labels!r}")
+    return GCM(tuple(tuple(row) for row in matrix), tuple(labels) if labels else ())
 
 
 def components(g: GCM) -> list[tuple[int, ...]]:

@@ -29,7 +29,7 @@ from .errors import (
     NotIntegrable,
     WrongRank,
 )
-from .weights import HighestWeight, fraction_str, pairing
+from .weights import HighestWeight, fraction_str, integrability_set, pairing
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -59,6 +59,8 @@ def load_problem(path: str) -> tuple[GCM, Optional[HighestWeight]]:
         raise InputError(str(exc)) from None
     lam = None
     if "lambda" in doc:
+        if not isinstance(doc["lambda"], list):
+            raise InputError("lambda must be a list of rationals")
         try:
             vals = [Fraction(str(v)) for v in doc["lambda"]]
         except (ValueError, ZeroDivisionError) as exc:
@@ -91,6 +93,8 @@ def _weight_set_json(
         out["depth"] = depth
     if ws.method == "hull":
         out["complete"] = ws.complete
+    if ws.method == "oracle":
+        out["advisory"] = oracle.oracle_is_advisory(g)
     return out
 
 
@@ -216,6 +220,13 @@ def _emit(doc: Any, out) -> None:
     out.write("\n")
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
@@ -227,28 +238,28 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
 
     p = sub.add_parser("roots")
     p.add_argument("--input", required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--height", type=_nonnegative_int, required=True)
     p.add_argument("--kind", choices=["real", "imaginary"], default="real")
 
     p = sub.add_parser("weights")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=["slice", "orbit", "hull", "oracle"],
                    default="slice")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--height", type=_nonnegative_int, required=True)
+    p.add_argument("--depth", type=_nonnegative_int, default=None)
     p.add_argument("--format", choices=["json", "svg"], default="json")
 
     p = sub.add_parser("series")
     p.add_argument("--input", required=True)
     p.add_argument("--formula", choices=["wkw", "ab"], required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--height", type=_nonnegative_int, required=True)
 
     p = sub.add_parser("verify")
     p.add_argument("--input", required=True)
     p.add_argument("--check", required=True,
                    choices=["cross", "wkw", "denominator", "macdonald",
                             "integrability"])
-    p.add_argument("--height", type=int, default=8)
+    p.add_argument("--height", type=_nonnegative_int, default=8)
     p.add_argument("--expect-fail", action="store_true")
 
     try:
@@ -293,22 +304,20 @@ def _dispatch(args, stdout) -> int:
 
     if args.command == "weights":
         lam = _need_lambda(lam)
+        model = None
+        if args.method == "hull" or args.format == "svg":
+            depth = args.depth if args.depth is not None else 2 * args.height + 4
+            model = modweights.hull_generators(lam, g, integrability_set(lam), depth)
         if args.method == "slice":
             ws = modweights.wt_simple_slice(lam, g, args.height)
         elif args.method == "orbit":
             ws = modweights.wt_simple_orbit(lam, g, args.height)
         elif args.method == "hull":
-            ws = modweights.wt_simple_hull(lam, g, args.height, args.depth)
+            ws = modweights.hull_weight_set(model, g.n, args.height)
         else:
             ws = oracle.oracle_weight_set(lam, g, args.height)
         if args.format == "svg":
-            from .weights import integrability_set
-
-            depth = args.depth if args.depth is not None else 2 * args.height + 4
-            hull = modweights.hull_generators(
-                lam, g, sorted(integrability_set(lam)), depth
-            )
-            stdout.write(emit_svg(lam, g, ws, hull))
+            stdout.write(emit_svg(lam, g, ws, model))
         else:
             _emit(_weight_set_json(lam, g, ws, args.depth), stdout)
         return EXIT_OK

@@ -225,6 +225,15 @@ def hull_contains(model: HullModel, c: Offset) -> bool:
     return known
 
 
+def hull_weight_set(model: HullModel, n: int, bound: int) -> WeightSet:
+    """Offsets of height <= bound (rank n) that `model` certifies.
+
+    The set is flagged incomplete unless the model has every generator.
+    """
+    members = frozenset(c for c in _offsets_up_to(n, bound) if hull_contains(model, c))
+    return WeightSet(bound, members, "hull", model.complete)
+
+
 def wt_simple_hull(
     lam: HighestWeight, g: GCM, bound: int, depth: Optional[int] = None
 ) -> WeightSet:
@@ -233,14 +242,12 @@ def wt_simple_hull(
     Candidates already satisfy mu <= lambda by construction.  One model
     at Weyl-word depth `depth` (default 2 * bound + 4) decides every
     candidate; its certificate caches leave an LP only for the candidates
-    no earlier proof settles.  The set is flagged incomplete unless the
-    model has every generator.
+    no earlier proof settles.
     """
     if depth is None:
         depth = 2 * bound + 4
     model = hull_generators(lam, g, integrability_set(lam), depth)
-    members = frozenset(c for c in _offsets_up_to(g.n, bound) if hull_contains(model, c))
-    return WeightSet(bound, members, "hull", model.complete)
+    return hull_weight_set(model, g.n, bound)
 
 
 def wt_parabolic_verma(

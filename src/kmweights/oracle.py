@@ -1,19 +1,25 @@
 """Ground-truth multiplicities via the contravariant form on lowering words.
 
-dim L(lambda)_mu equals the rank of the Gram matrix of the contravariant
-form on any spanning set of the Verma weight space; the words
-f_{i_1} ... f_{i_k} v_lambda are such a set.  Everything is exact.
+The radical of the contravariant form is the maximal submodule, so
+dim L(lambda)_mu is the rank of the Gram matrix on any set of words
+f_{i_1} ... f_{i_k} v_lambda that spans L(lambda)_mu.  All words of the
+offset are such a set (`simple_multiplicity`).  So is the recursive set
+{f_i f_w v_lambda : w in B(c - e_i)} built from word bases of the weight
+spaces just above, since L(lambda)_mu = sum_i f_i L(lambda)_{mu + alpha_i}
+for mu != lambda (Kac, Infinite dimensional Lie algebras, ch. 9;
+Kac-Kazhdan 1979); `word_bases` walks the offsets that way.  Everything
+is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .cartan import GCM, symmetrizable
 from .errors import BudgetExceeded
 from .modweights import WeightSet, _offsets_up_to
-from .weights import HighestWeight, Offset, pairing, ht
+from .weights import HighestWeight, Offset
 
 LoweringWord = tuple[int, ...]
 
@@ -63,17 +69,19 @@ def _apply_e(
 ) -> list[tuple[Fraction, LoweringWord]]:
     """e_i f_{word} v_lambda as a combination of shorter words.
 
-    [e_i, f_j] = delta_ij h_i, and h_i is scalar on each tail weight.
+    [e_i, f_j] = delta_ij h_i, and h_i is scalar on each tail weight:
+    (h_i, lambda - sum of the tail's alphas), accumulated right to left.
     """
     out = []
-    n = g.n
-    for m, letter in enumerate(word):
-        if letter != i:
-            continue
-        tail = word[m + 1 :]
-        coeff = pairing(lam, g, word_offset(tail, n), i)
-        if coeff:
-            out.append((coeff, word[:m] + tail))
+    row = g.a[i]
+    tail_pairing = 0  # (A c)_i for the offset c of word[m + 1:]
+    for m in range(len(word) - 1, -1, -1):
+        letter = word[m]
+        if letter == i:
+            coeff = lam.q[i] - tail_pairing
+            if coeff:
+                out.append((coeff, word[:m] + word[m + 1 :]))
+        tail_pairing += row[letter]
     return out
 
 
@@ -108,29 +116,43 @@ def gram_entry(
     return GramBuilder(lam, g).form(u, v)
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    rank = 0
-    col = 0
-    rows = [list(r) for r in rows]
-    while rank < m and col < n:
-        piv = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, m):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
-        rank += 1
-        col += 1
-    return rank
+def independent_rows(rows: list[list[Fraction]]) -> list[int]:
+    """Indices of the rows independent of the rows before them.
+
+    Exact fraction-free elimination: each row is scaled to integers,
+    reduced by the echelon rows kept so far (each step divided by the
+    gcd of the entries) and kept when something is left.  The count of
+    kept rows is the rank.
+    """
+    kept: list[int] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for index, row in enumerate(rows):
+        den = lcm(*(x.denominator for x in row))
+        r = [x.numerator * (den // x.denominator) for x in row]
+        for col, prow in echelon:
+            a = r[col]
+            if a:
+                b = prow[col]
+                r = [b * x - a * y for x, y in zip(r, prow)]
+                content = gcd(*r)
+                if content > 1:
+                    r = [x // content for x in r]
+        col = next((k for k, x in enumerate(r) if x), None)
+        if col is not None:
+            echelon.append((col, r))
+            kept.append(index)
+    return kept
+
+
+def _gram(builder: GramBuilder, words: list[LoweringWord]) -> list[list[Fraction]]:
+    k = len(words)
+    gram = [[Fraction(0)] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            val = builder.form(words[a], words[b])
+            gram[a][b] = val
+            gram[b][a] = val
+    return gram
 
 
 def simple_multiplicity(
@@ -140,16 +162,43 @@ def simple_multiplicity(
     count = word_count(c)
     if count > budget:
         raise BudgetExceeded(f"{count} words at offset {c} exceeds {budget}")
-    words = words_of_offset(c)
+    return len(independent_rows(_gram(GramBuilder(lam, g), words_of_offset(c))))
+
+
+def word_bases(
+    lam: HighestWeight, g: GCM, bound: int, budget: int = WORD_BUDGET
+) -> dict[Offset, list[LoweringWord]]:
+    """A word basis B(c) of L(lambda)_{lambda - c} for each offset c up to bound.
+
+    Offsets come in lexicographic order, so every c - e_i precedes c.
+    B(0) = [()]; the candidates for c != 0 are (i,) + w for w in
+    B(c - e_i), and B(c) keeps those whose Gram rows are independent of
+    the rows before them.  One GramBuilder serves every offset, so form
+    values on shorter words are shared.  The candidate count is checked
+    against `budget` before any Gram entry of c is built.
+    """
     builder = GramBuilder(lam, g)
-    k = len(words)
-    gram = [[Fraction(0)] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a, k):
-            val = builder.form(words[a], words[b])
-            gram[a][b] = val
-            gram[b][a] = val
-    return _rank(gram)
+    bases: dict[Offset, list[LoweringWord]] = {}
+    for c in _offsets_up_to(g.n, bound):
+        if not any(c):
+            bases[c] = [()]
+            continue
+        candidates = [
+            (i,) + w
+            for i in range(g.n)
+            if c[i]
+            for w in bases[c[:i] + (c[i] - 1,) + c[i + 1 :]]
+        ]
+        if len(candidates) > budget:
+            raise BudgetExceeded(
+                f"{len(candidates)} candidate words at offset {c} exceeds {budget}"
+            )
+        # Rows independent of the earlier rows of a symmetric matrix span
+        # its row space, so the principal submatrix on them is nonsingular:
+        # their words are independent in L(lambda) and their count is the rank.
+        keep = independent_rows(_gram(builder, candidates))
+        bases[c] = [candidates[k] for k in keep]
+    return bases
 
 
 def oracle_weight_set(
@@ -157,14 +206,13 @@ def oracle_weight_set(
 ) -> WeightSet:
     """Support of the multiplicity function up to the height bound.
 
-    For non-symmetrizable input the construction still runs on the
-    Chevalley relations alone; results are then advisory.
+    c is a member exactly when its recursive word basis B(c) from
+    `word_bases` is non-empty; no offset needs all of its words.  For
+    non-symmetrizable input the construction still runs on the Chevalley
+    relations alone; results are then advisory.
     """
-    members = set()
-    for c in _offsets_up_to(g.n, bound):
-        if simple_multiplicity(lam, g, c, budget) > 0:
-            members.add(c)
-    return WeightSet(bound, frozenset(members), "oracle")
+    bases = word_bases(lam, g, bound, budget)
+    return WeightSet(bound, frozenset(c for c, basis in bases.items() if basis), "oracle")
 
 
 def oracle_is_advisory(g: GCM) -> bool:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from kmweights import HighestWeight, parse_gcm
 
@@ -39,6 +40,23 @@ def corpus():
         for qs in CORPUS_WEIGHTS[name]:
             lam = HighestWeight.of([Fraction(x) for x in qs])
             yield name, g, lam, qs
+
+
+PAIRINGS = [0, 1, 2, Fraction(-1, 2), Fraction(-3, 2), Fraction(1, 3)]
+
+
+@st.composite
+def small_gcms_and_weights(draw):
+    """A random GCM of rank <= 3 (symmetric zero pattern) and highest weight."""
+    n = draw(st.integers(1, 3))
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = draw(st.sampled_from([0, -1, -2, -3]))
+            if a[i][j]:
+                a[j][i] = draw(st.sampled_from([-1, -2, -3]))
+    q = draw(st.lists(st.sampled_from(PAIRINGS), min_size=n, max_size=n))
+    return parse_gcm(a), HighestWeight.of(q)
 
 
 CORPUS_CASES = [

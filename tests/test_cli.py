@@ -1,6 +1,7 @@
 import io
 import json
 
+import pytest
 
 from kmweights.cli import run
 
@@ -191,3 +192,74 @@ def test_weights_hull_reports_completeness(tmp_path):
     assert json.loads(out)["complete"] is True
     code, out, _ = invoke(["weights", "--input", path, "--method", "slice", "--height", "4"])
     assert "complete" not in json.loads(out)
+
+
+def test_weights_oracle_advisory_flag(tmp_path):
+    nonsym = write_problem(
+        tmp_path,
+        {"cartan": [[2, -1, -2], [-2, 2, -1], [-1, -2, 2]], "lambda": ["1", "0", "-1/2"]},
+        "nonsym.json",
+    )
+    a2 = write_problem(tmp_path, {"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"]})
+    for path, advisory in ((nonsym, True), (a2, False)):
+        code, out, _ = invoke(
+            ["weights", "--input", path, "--method", "oracle", "--height", "3"]
+        )
+        assert code == 0
+        assert json.loads(out)["advisory"] is advisory
+    code, out, _ = invoke(["weights", "--input", a2, "--method", "slice", "--height", "3"])
+    assert "advisory" not in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"cartan": [[2, -1.7], [-1, 2]]}, "integers"),
+        ({"cartan": [[2, -1], [-1, 2]], "lambda": "12"}, "lambda"),
+        ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"], "labels": "xy"}, "labels"),
+        ({"cartan": [], "lambda": []}, "non-empty"),
+        ({"cartan": [[2, False], [False, 2]]}, "integers"),
+        ({"cartan": [2, 2]}, "row"),
+    ],
+    ids=["float-entry", "lambda-string", "labels-string", "empty", "bool-entry", "flat"],
+)
+def test_input_not_coerced_exit_2(tmp_path, doc, message):
+    path = write_problem(tmp_path, doc)
+    code, out, err = invoke(["weights", "--input", path, "--method", "slice", "--height", "2"])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_negative_height_exit_2(tmp_path, capsys):
+    path = write_problem(tmp_path, {"cartan": [[2]], "lambda": ["3"]})
+    for argv in (
+        ["weights", "--input", path, "--method", "slice", "--height", "-3"],
+        ["weights", "--input", path, "--method", "hull", "--height", "3", "--depth", "-1"],
+        ["roots", "--input", path, "--height", "-1"],
+    ):
+        code, out, _ = invoke(argv)
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in capsys.readouterr().err
+
+
+def test_svg_hull_model_built_once(tmp_path, monkeypatch):
+    from kmweights import modweights
+
+    calls = []
+    build = modweights.hull_generators
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(modweights, "hull_generators", spy)
+    path = write_problem(tmp_path, {"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "-7/2"]})
+    for method in ("hull", "slice"):
+        calls.clear()
+        code, out, _ = invoke(
+            ["weights", "--input", path, "--method", method, "--height", "4", "--format", "svg"]
+        )
+        assert code == 0 and out.startswith("<svg")
+        assert len(calls) == 1

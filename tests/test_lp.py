@@ -15,7 +15,7 @@ from kmweights.modweights import (
 )
 from kmweights.weights import HighestWeight, integrability_set
 
-from conftest import CORPUS_CASES
+from conftest import CORPUS_CASES, small_gcms_and_weights
 
 AFF_RANK3 = parse_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
@@ -125,22 +125,6 @@ def _assert_cache_matches_fresh_solves(lam, g, bound, depth):
 @pytest.mark.parametrize("g,lam", CORPUS_CASES)
 def test_cached_membership_matches_fresh_lp_on_corpus(g, lam):
     _assert_cache_matches_fresh_solves(lam, g, 4, 12)
-
-
-PAIRINGS = [0, 1, 2, Fraction(-1, 2), Fraction(-3, 2), Fraction(1, 3)]
-
-
-@st.composite
-def small_gcms_and_weights(draw):
-    n = draw(st.integers(1, 3))
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a[i][j] = draw(st.sampled_from([0, -1, -2, -3]))
-            if a[i][j]:
-                a[j][i] = draw(st.sampled_from([-1, -2, -3]))
-    q = draw(st.lists(st.sampled_from(PAIRINGS), min_size=n, max_size=n))
-    return parse_gcm(a), HighestWeight.of(q)
 
 
 @given(small_gcms_and_weights(), st.integers(0, 4), st.integers(0, 5))

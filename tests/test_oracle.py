@@ -9,17 +9,23 @@ from hypothesis import strategies as st
 from kmweights.cartan import parse_gcm
 from kmweights.errors import BudgetExceeded
 from kmweights.oracle import (
+    GramBuilder,
     gram_entry,
+    independent_rows,
     oracle_weight_set,
     oracle_is_advisory,
     simple_multiplicity,
+    word_bases,
     word_count,
+    word_offset,
     words_of_offset,
 )
 from kmweights.modweights import wt_simple_slice
 from kmweights.roots import positive_real_up_to
 from kmweights.weights import HighestWeight, ht
 from kmweights.weyl import reflect_weight
+
+from conftest import small_gcms_and_weights
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -170,3 +176,59 @@ def test_advisory_flag():
     assert not oracle_is_advisory(A2)
     nonsym = parse_gcm([[2, -1, -2], [-2, 2, -1], [-1, -2, 2]])
     assert oracle_is_advisory(nonsym)
+
+
+def test_independent_rows_are_first_spanning_rows():
+    f = Fraction
+    rows = [[f(0), f(0)], [f(1, 2), f(1)], [f(-1), f(-2)], [f(0), f(3, 7)], [f(5), f(1)]]
+    assert independent_rows(rows) == [1, 3]
+    assert independent_rows([]) == []
+    # Symmetric, indefinite: row 0 is independent though its diagonal is 0.
+    assert independent_rows([[f(0), f(1)], [f(1), f(0)]]) == [0, 1]
+
+
+def test_word_bases_adjoint_a2():
+    # The budget bounds candidates, not words: offset (2, 1) has 3 words
+    # but only the 2 candidates built on B(1, 1).
+    bases = word_bases(HighestWeight.of([1, 1]), A2, 4, budget=2)
+    assert bases[(0, 0)] == [()]
+    assert bases[(1, 1)] == [(0, 1), (1, 0)]
+    assert len(bases[(2, 2)]) == 1 and bases[(3, 0)] == []
+    assert {c for c, b in bases.items() if b} == {
+        (0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)
+    }
+
+
+H_BY_RANK = {1: 6, 2: 5, 3: 4}
+
+
+@given(small_gcms_and_weights())
+@settings(max_examples=30, deadline=None)
+def test_recursive_bases_match_all_words_and_slice(case):
+    # At these heights every offset has at most 12 words, far within the
+    # word budget, so the all-words rank is the reference at every offset.
+    g, lam = case
+    bound = H_BY_RANK[g.n]
+    bases = word_bases(lam, g, bound)
+    for c, basis in bases.items():
+        assert len(basis) == simple_multiplicity(lam, g, c), c
+    members = {c for c, basis in bases.items() if basis}
+    assert oracle_weight_set(lam, g, bound).members == members
+    assert members == wt_simple_slice(lam, g, bound).members
+
+
+def test_oracle_budget_checked_before_gram_entries(monkeypatch):
+    # A2, lambda = (1, 1): offsets (0, 1) and (1, 0) have one basis word
+    # each, so (1, 1) has two candidates; with budget 1 it must raise
+    # before any form value on words of offset (1, 1) is asked for.
+    asked = []
+    form = GramBuilder.form
+
+    def spy(self, u, v):
+        asked.append(word_offset(u, 2))
+        return form(self, u, v)
+
+    monkeypatch.setattr(GramBuilder, "form", spy)
+    with pytest.raises(BudgetExceeded, match=r"2 candidate words at offset \(1, 1\)"):
+        oracle_weight_set(HighestWeight.of([1, 1]), A2, 4, budget=1)
+    assert (1, 0) in asked and (1, 1) not in asked
