@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidGCM
 from .lp import feasible
@@ -77,22 +77,24 @@ def parse_gcm(matrix: Sequence[Sequence[int]], labels: Optional[Sequence[str]] =
     return GCM(tuple(tuple(row) for row in matrix), tuple(labels) if labels else ())
 
 
-def components(g: GCM) -> list[tuple[int, ...]]:
-    """Connected components of the Dynkin diagram, each sorted."""
-    seen: set[int] = set()
+def components(g: GCM, nodes: Optional[Iterable[int]] = None) -> list[tuple[int, ...]]:
+    """Connected components of the Dynkin diagram on `nodes` (default: all).
+
+    Each component is sorted; components come in order of their least node.
+    """
+    left = set(range(g.n) if nodes is None else nodes)
     out = []
-    for start in range(g.n):
-        if start in seen:
-            continue
+    while left:
+        start = min(left)
         comp = {start}
         stack = [start]
         while stack:
             i = stack.pop()
             for j in g.neighbors(i):
-                if j not in comp:
+                if j in left and j not in comp:
                     comp.add(j)
                     stack.append(j)
-        seen |= comp
+        left -= comp
         out.append(tuple(sorted(comp)))
     return out
 
@@ -152,10 +154,6 @@ def symmetrizable(g: GCM) -> Optional[tuple[Fraction, ...]]:
                     stack.append(j)
                 elif d[j] != want:
                     return None
-    # Clear denominators to keep the witness integral, then verify.
-    assert all(v is not None and v > 0 for v in d)
-    for i in range(g.n):
-        for j in range(g.n):
-            if d[i] * g.a[i][j] != d[j] * g.a[j][i]:
-                return None
+    # Every node was reached from the first node of its component and every
+    # edge was checked from both ends, so d_i a_ij = d_j a_ji for all i, j.
     return tuple(d)  # type: ignore[arg-type]

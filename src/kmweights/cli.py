@@ -10,6 +10,7 @@ with rationals as strings for end-to-end exactness.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .errors import (
     NotIntegrable,
     WrongRank,
 )
-from .weights import HighestWeight, fraction_str, integrability_set, pairing
+from .weights import HighestWeight, pairing
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -85,7 +86,7 @@ def _weight_set_json(
         "height": ws.bound,
         "offsets": [list(c) for c in ws.sorted_members()],
         "pairings": [
-            [fraction_str(pairing(lam, g, c, i)) for i in range(g.n)]
+            [str(pairing(lam, g, c, i)) for i in range(g.n)]
             for c in ws.sorted_members()
         ],
     }
@@ -96,10 +97,6 @@ def _weight_set_json(
     if ws.method == "oracle":
         out["advisory"] = oracle.oracle_is_advisory(g)
     return out
-
-
-def _series_json(s: series.TruncSeries) -> list[dict[str, Any]]:
-    return [{"offset": list(c), "coefficient": v} for c, v in s.sorted_items()]
 
 
 def _default_projection(n: int) -> list[list[Fraction]]:
@@ -121,12 +118,9 @@ def emit_svg(
     g: GCM,
     ws: modweights.WeightSet,
     hull: modweights.HullModel,
-    projection: Optional[Sequence[Sequence[Fraction]]] = None,
 ) -> str:
     """Deterministic SVG: weight dots, projected hull polygon, ray arrows."""
-    proj = projection if projection is not None else _default_projection(g.n)
-    if _matrix_rank2(proj) != min(2, g.n):
-        raise InputError("projection must have full rank")
+    proj = _default_projection(g.n)
 
     def project(c: Sequence[int]) -> tuple[Fraction, Fraction]:
         # Weight lambda - sum c_i alpha_i drawn with lambda at the origin.
@@ -178,17 +172,6 @@ def emit_svg(
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def _matrix_rank2(proj: Sequence[Sequence[Fraction]]) -> int:
-    n = len(proj[0])
-    if any(proj[0][i] != 0 or proj[1][i] != 0 for i in range(n)):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if proj[0][i] * proj[1][j] - proj[0][j] * proj[1][i] != 0:
-                    return 2
-        return 1
-    return 0
 
 
 def _convex_hull_2d(
@@ -263,7 +246,8 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     p.add_argument("--expect-fail", action="store_true")
 
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stderr(stderr):
+            args = parser.parse_args(argv)
     except SystemExit:
         return EXIT_INPUT
 
@@ -306,8 +290,7 @@ def _dispatch(args, stdout) -> int:
         lam = _need_lambda(lam)
         model = None
         if args.method == "hull" or args.format == "svg":
-            depth = args.depth if args.depth is not None else 2 * args.height + 4
-            model = modweights.hull_generators(lam, g, integrability_set(lam), depth)
+            model = modweights.hull_model(lam, g, args.height, args.depth)
         if args.method == "slice":
             ws = modweights.wt_simple_slice(lam, g, args.height)
         elif args.method == "orbit":
@@ -328,7 +311,7 @@ def _dispatch(args, stdout) -> int:
             s = series.wkw_sum(lam, g, args.height)
         else:
             s = series.atiyah_bott_sum(lam, g, args.height)
-        _emit(_series_json(s), stdout)
+        _emit(verify.series_json(s), stdout)
         return EXIT_OK
 
     if args.command == "verify":
@@ -343,7 +326,7 @@ def _dispatch(args, stdout) -> int:
                 _need_lambda(lam), g, args.height
             )
         else:  # cross-formula set equality
-            report = _verify_cross(_need_lambda(lam), g, args.height)
+            report = verify.verify_cross(_need_lambda(lam), g, args.height)
         _emit(report.to_json(), stdout)
         if report.passed:
             return EXIT_OK
@@ -352,22 +335,6 @@ def _dispatch(args, stdout) -> int:
         return EXIT_FAIL
 
     raise InputError(f"unknown command {args.command}")
-
-
-def _verify_cross(lam: HighestWeight, g: GCM, height: int) -> verify.Report:
-    """Set equality of the slice, hull, and (when applicable) orbit formulas."""
-    ws_slice = modweights.wt_simple_slice(lam, g, height)
-    ws_hull = modweights.wt_simple_hull(lam, g, height)
-    details: dict = {"slice_size": len(ws_slice.members)}
-    ok = ws_slice.members == ws_hull.members
-    details["hull_equal"] = ws_hull.members == ws_slice.members
-    try:
-        ws_orbit = modweights.wt_simple_orbit(lam, g, height)
-        details["orbit_equal"] = ws_orbit.members == ws_slice.members
-        ok = ok and ws_orbit.members == ws_slice.members
-    except InfiniteStabilizer:
-        details["orbit_equal"] = None
-    return verify.Report("cross", passed=ok, details=details)
 
 
 def main() -> None:

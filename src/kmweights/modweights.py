@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .cartan import GCM
+from .cartan import GCM, components
 from .errors import InfiniteStabilizer, NotDominantIntegral
 from .lp import Certificates, Proof, feasible
 from .roots import positive_imaginary_up_to, positive_real_up_to
@@ -27,6 +26,8 @@ from .weights import (
     integrability_set,
     is_positive,
     neg,
+    offsets_up_to,
+    pairing,
     zero_offset,
 )
 from .weyl import enumerate_group, orbit_truncated, stabilizer_is_finite
@@ -43,9 +44,6 @@ class WeightSet:
 
     def sorted_members(self) -> list[Offset]:
         return sorted(self.members)
-
-    def __contains__(self, c: Offset) -> bool:
-        return tuple(c) in self.members
 
 
 @dataclass(frozen=True)
@@ -80,40 +78,10 @@ class HullModel:
         return Certificates(a)
 
 
-def _offsets_up_to(n: int, bound: int) -> Iterator[Offset]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(bound + 1):
-        for rest in _offsets_up_to(n - 1, bound - first):
-            yield (first,) + rest
-
-
-def _support_components(g: GCM, supp: Sequence[int]) -> list[list[int]]:
-    supp = list(supp)
-    out = []
-    left = set(supp)
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in g.neighbors(i):
-                if j in left and j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        left -= comp
-        out.append(sorted(comp))
-    return out
-
-
 def _nondegenerate(lam: HighestWeight, g: GCM, c: Offset) -> bool:
     """Every connected component of supp(c) meets a node with (h_i, lambda) != 0."""
     supp = [i for i, x in enumerate(c) if x != 0]
-    return all(
-        any(lam.q[i] != 0 for i in comp) for comp in _support_components(g, supp)
-    )
+    return all(any(lam.q[i] != 0 for i in comp) for comp in components(g, supp))
 
 
 def wt_integrable(
@@ -130,10 +98,7 @@ def wt_integrable(
         if qi.denominator != 1 or qi < 0:
             raise NotDominantIntegral(f"(h_{i}, lambda) = {qi}")
     members: set[Offset] = set()
-    node_set = set(nodes)
-    for c in _offsets_up_to(g.n, bound):
-        if any(c[i] for i in range(g.n) if i not in node_set):
-            continue
+    for c in offsets_up_to(g.n, bound, nodes):
         if not in_parabolic_dominant(lam, g, c, nodes):
             continue
         if not _nondegenerate(lam, g, c):
@@ -144,11 +109,7 @@ def wt_integrable(
 
 def _shifted(lam: HighestWeight, g: GCM, b: Offset) -> HighestWeight:
     """Pairings of lambda - sum b_i alpha_i."""
-    return HighestWeight(
-        tuple(
-            lam.q[i] - sum(g.a[i][j] * b[j] for j in range(g.n)) for i in range(g.n)
-        )
-    )
+    return HighestWeight(tuple(pairing(lam, g, b, i) for i in range(g.n)))
 
 
 def _slice_union(
@@ -156,9 +117,7 @@ def _slice_union(
 ) -> set[Offset]:
     """Union over b supported off `nodes` of b + wt_integrable(lambda - b)."""
     members: set[Offset] = set()
-    for b in _offsets_up_to(g.n, bound):
-        if any(b[i] for i in nodes):
-            continue
+    for b in offsets_up_to(g.n, bound, set(range(g.n)) - set(nodes)):
         inner = wt_integrable(_shifted(lam, g, b), g, nodes, bound - ht(b))
         for c in inner.members:
             members.add(add(b, c))
@@ -166,9 +125,9 @@ def _slice_union(
 
 
 def wt_simple_slice(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
-    """Integrable Slice Decomposition of wt L(lambda)."""
-    ilam = sorted(integrability_set(lam))
-    return WeightSet(bound, frozenset(_slice_union(lam, g, ilam, bound)), "slice")
+    """Integrable Slice Decomposition: wt L(lambda) = wt M(lambda, I_lambda)."""
+    pverma = wt_parabolic_verma(lam, g, integrability_set(lam), bound)
+    return WeightSet(bound, pverma.members, "slice")
 
 
 def wt_simple_orbit(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
@@ -182,7 +141,7 @@ def wt_simple_orbit(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
             "lambda has infinite stabilizer in the integrable Weyl subgroup"
         )
     members: set[Offset] = set()
-    for c in _offsets_up_to(g.n, bound):
+    for c in offsets_up_to(g.n, bound):
         if in_parabolic_dominant(lam, g, c, ilam):
             members |= orbit_truncated(lam, g, ilam, c, bound)
     return WeightSet(bound, frozenset(members), "orbit")
@@ -200,11 +159,23 @@ def hull_generators(
     for w in enumerate_group(lam, g, nodes, height=None, cap=depth):
         vertices.add(w.displacement)
         for i in outside:
-            rays.add(neg(w.apply(tuple(1 if j == i else 0 for j in range(g.n)))))
+            rays.add(neg(w.simple_images[i]))
         # w s_i is longer than w exactly when w alpha_i > 0.
         if w.length == depth and any(is_positive(w.simple_images[i]) for i in nodes):
             complete = False
     return HullModel(frozenset(vertices), frozenset(rays), depth, complete)
+
+
+def hull_model(
+    lam: HighestWeight, g: GCM, bound: int, depth: Optional[int]
+) -> HullModel:
+    """The hull model of lambda on I_lambda for heights <= bound.
+
+    Weyl-word depth `depth`, or 2 * bound + 4 when it is None.
+    """
+    if depth is None:
+        depth = 2 * bound + 4
+    return hull_generators(lam, g, integrability_set(lam), depth)
 
 
 def hull_contains(model: HullModel, c: Offset) -> bool:
@@ -230,7 +201,7 @@ def hull_weight_set(model: HullModel, n: int, bound: int) -> WeightSet:
 
     The set is flagged incomplete unless the model has every generator.
     """
-    members = frozenset(c for c in _offsets_up_to(n, bound) if hull_contains(model, c))
+    members = frozenset(c for c in offsets_up_to(n, bound) if hull_contains(model, c))
     return WeightSet(bound, members, "hull", model.complete)
 
 
@@ -240,14 +211,10 @@ def wt_simple_hull(
     """Hull formula: offsets of height <= bound inside conv L(lambda).
 
     Candidates already satisfy mu <= lambda by construction.  One model
-    at Weyl-word depth `depth` (default 2 * bound + 4) decides every
-    candidate; its certificate caches leave an LP only for the candidates
-    no earlier proof settles.
+    from `hull_model` decides every candidate; its certificate caches
+    leave an LP only for the candidates no earlier proof settles.
     """
-    if depth is None:
-        depth = 2 * bound + 4
-    model = hull_generators(lam, g, integrability_set(lam), depth)
-    return hull_weight_set(model, g.n, bound)
+    return hull_weight_set(hull_model(lam, g, bound, depth), g.n, bound)
 
 
 def wt_parabolic_verma(
@@ -256,13 +223,10 @@ def wt_parabolic_verma(
     """Weights of the parabolic Verma module M(lambda, J), J = nodes.
 
     Slice construction with J in place of I_lambda; J must be contained in
-    the integrability set and lambda must be dominant integral on J.
+    the integrability set, and `wt_integrable` at b = 0 raises
+    NotDominantIntegral otherwise.
     """
     nodes = sorted(nodes)
-    for i in nodes:
-        qi = lam.q[i]
-        if qi.denominator != 1 or qi < 0:
-            raise NotDominantIntegral(f"(h_{i}, lambda) = {qi}")
     return WeightSet(bound, frozenset(_slice_union(lam, g, nodes, bound)), "pverma")
 
 

@@ -18,8 +18,8 @@ from math import comb, gcd, lcm
 
 from .cartan import GCM, symmetrizable
 from .errors import BudgetExceeded
-from .modweights import WeightSet, _offsets_up_to
-from .weights import HighestWeight, Offset
+from .modweights import WeightSet
+from .weights import HighestWeight, Offset, offsets_up_to
 
 LoweringWord = tuple[int, ...]
 
@@ -179,7 +179,7 @@ def word_bases(
     """
     builder = GramBuilder(lam, g)
     bases: dict[Offset, list[LoweringWord]] = {}
-    for c in _offsets_up_to(g.n, bound):
+    for c in offsets_up_to(g.n, bound):
         if not any(c):
             bases[c] = [()]
             continue

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import enum
-from typing import Iterator
 
-from .cartan import GCM
-from .weights import SignedOffset, cartan_pairing, ht, is_positive, unit
+from .cartan import GCM, components
+from .weights import SignedOffset, cartan_pairing, ht, is_positive, offsets_up_to, unit
+from .weyl import reflect
 
 
 class RootClass(enum.Enum):
@@ -15,28 +15,15 @@ class RootClass(enum.Enum):
     NOT_A_ROOT = "NotARoot"
 
 
-def _support_connected(g: GCM, c: SignedOffset) -> bool:
-    supp = [i for i, x in enumerate(c) if x != 0]
-    if not supp:
-        return False
-    seen = {supp[0]}
-    stack = [supp[0]]
-    while stack:
-        i = stack.pop()
-        for j in g.neighbors(i):
-            if c[j] != 0 and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(supp)
-
-
 def classify_vector(g: GCM, c: SignedOffset) -> RootClass:
     """Classify a nonzero nonnegative vector by reflection descent.
 
     Repeatedly apply a simple reflection that strictly lowers height.
-    Reaching a simple root certifies PositiveReal; stalling inside the
-    fundamental cone (all pairings <= 0, connected support) certifies
-    PositiveImaginary; leaving the positive cone certifies NotARoot.
+    Reaching a simple root certifies PositiveReal; leaving the positive
+    cone certifies NotARoot.  Stalling inside the fundamental cone (all
+    pairings <= 0) certifies PositiveImaginary when the support is
+    connected and NotARoot otherwise.  Reflections map roots to roots and
+    non-roots to non-roots, so the answer for the stall is the answer for c.
     """
     if not is_positive(c):
         raise ValueError("expected a nonzero vector with nonnegative entries")
@@ -44,21 +31,19 @@ def classify_vector(g: GCM, c: SignedOffset) -> RootClass:
     while True:
         if ht(cur) == 1:
             return RootClass.POSITIVE_REAL
-        if not _support_connected(g, cur):
-            return RootClass.NOT_A_ROOT
         descent = -1
         for i in range(g.n):
             if cartan_pairing(g, cur, i) > 0:
                 descent = i
                 break
         if descent < 0:
-            return RootClass.POSITIVE_IMAGINARY
-        p = cartan_pairing(g, cur, descent)
-        nxt = list(cur)
-        nxt[descent] -= p
-        if nxt[descent] < 0:
+            supp = [i for i, x in enumerate(cur) if x]
+            if len(components(g, supp)) == 1:
+                return RootClass.POSITIVE_IMAGINARY
             return RootClass.NOT_A_ROOT
-        cur = tuple(nxt)
+        cur = reflect(g, descent, cur)
+        if cur[descent] < 0:
+            return RootClass.NOT_A_ROOT
 
 
 def positive_real_up_to(g: GCM, height: int) -> set[SignedOffset]:
@@ -79,10 +64,7 @@ def positive_real_up_to(g: GCM, height: int) -> set[SignedOffset]:
         nxt = []
         for c in frontier:
             for i in range(g.n):
-                p = cartan_pairing(g, c, i)
-                img = list(c)
-                img[i] -= p
-                t = tuple(img)
+                t = reflect(g, i, c)
                 if is_positive(t) and ht(t) <= height and t not in out:
                     out.add(t)
                     nxt.append(t)
@@ -90,20 +72,10 @@ def positive_real_up_to(g: GCM, height: int) -> set[SignedOffset]:
     return out
 
 
-def _vectors_of_height(n: int, h: int) -> Iterator[SignedOffset]:
-    if n == 1:
-        yield (h,)
-        return
-    for first in range(h + 1):
-        for rest in _vectors_of_height(n - 1, h - first):
-            yield (first,) + rest
-
-
 def positive_imaginary_up_to(g: GCM, height: int) -> set[SignedOffset]:
     """All positive imaginary roots of height <= `height` (full scan)."""
     out: set[SignedOffset] = set()
-    for h in range(1, height + 1):
-        for c in _vectors_of_height(g.n, h):
-            if classify_vector(g, c) is RootClass.POSITIVE_IMAGINARY:
-                out.add(c)
+    for c in offsets_up_to(g.n, height):
+        if any(c) and classify_vector(g, c) is RootClass.POSITIVE_IMAGINARY:
+            out.add(c)
     return out

@@ -109,26 +109,30 @@ def series_monomial(c: Offset, bound: int, coeff: int = 1) -> TruncSeries:
     return TruncSeries(len(c), bound, {tuple(c): coeff})
 
 
-def geometric_factor(g: GCM, w: GroupElement, i: int, bound: int) -> TruncSeries:
-    """The highest-weight expansion of w(1 - e^{-alpha_i})^{-1}.
+def geometric_series(v: SignedOffset, bound: int) -> TruncSeries:
+    """The highest-weight expansion of (1 - e^{-v})^{-1}, v positive or negative.
 
-    Offsets are measured downward from the caller's base: for w alpha_i > 0
-    the terms are +e^{-k w alpha_i} (k >= 0); for w alpha_i < 0 they are
-    -e^{k w alpha_i} (k >= 1), and -k w alpha_i is again a positive vector.
+    Offsets are measured downward from the caller's base: for v > 0 the
+    terms are +e^{-k v} (k >= 0); for v < 0 they are -e^{k v} (k >= 1),
+    and -k v is again a positive vector.
     """
-    v = w.simple_images[i]
     if is_positive(v):
         step, sign, start = v, 1, 0
     elif is_negative(v):
         step, sign, start = neg(v), -1, 1
     else:
-        raise ValueError(f"w alpha_{i} = {v} is neither positive nor negative")
+        raise ValueError(f"{v} is neither positive nor negative")
     terms: dict[Offset, int] = {}
     k = start
     while ht(scale(k, step)) <= bound:
         terms[scale(k, step)] = sign
         k += 1
-    return TruncSeries(g.n, bound, terms)
+    return TruncSeries(len(v), bound, terms)
+
+
+def geometric_factor(g: GCM, w: GroupElement, i: int, bound: int) -> TruncSeries:
+    """The highest-weight expansion of w(1 - e^{-alpha_i})^{-1}."""
+    return geometric_series(w.simple_images[i], bound)
 
 
 def weyl_summand(
@@ -170,7 +174,7 @@ def atiyah_bott_sum(lam: HighestWeight, g: GCM, bound: int) -> TruncSeries:
         for beta in pos_roots:
             if not term.terms:
                 break
-            term = term * _root_factor(g, w.apply(beta), bound)
+            term = term * geometric_series(w.apply(beta), bound)
         out = out + term
     return out
 
@@ -183,20 +187,6 @@ def _all_positive_roots(g: GCM) -> list[SignedOffset]:
         if nxt == cur:
             return sorted(cur)
         cur, h = nxt, h + 1
-
-
-def _root_factor(g: GCM, v: SignedOffset, bound: int) -> TruncSeries:
-    """Highest-weight expansion of (1 - e^{-v})^{-1} for a root image v."""
-    if is_positive(v):
-        step, sign, start = v, 1, 0
-    else:
-        step, sign, start = neg(v), -1, 1
-    terms: dict[Offset, int] = {}
-    k = start
-    while ht(scale(k, step)) <= bound:
-        terms[scale(k, step)] = sign
-        k += 1
-    return TruncSeries(g.n, bound, terms)
 
 
 @dataclass(frozen=True)

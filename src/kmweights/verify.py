@@ -5,8 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .cartan import GCM, DiagramType, classify, is_finite_type
-from .errors import FiniteType, NotFiniteType, WrongRank
+from .cartan import GCM, is_finite_type
+from .errors import (
+    FiniteType,
+    InfiniteStabilizer,
+    NonIntegralPairing,
+    NotFiniteType,
+    WrongRank,
+)
+from .modweights import wt_simple_hull, wt_simple_orbit, wt_simple_slice
 from .roots import positive_imaginary_up_to
 from .series import (
     LaurentElt,
@@ -22,8 +29,6 @@ from .weights import (
     neg,
 )
 from .weyl import enumerate_group, reflect_weight, stabilizer_is_finite
-from .modweights import wt_simple_slice
-from .errors import NonIntegralPairing
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,8 @@ def _laurent_json(x: LaurentElt) -> list[dict[str, Any]]:
     return [{"exponent": list(c), "coefficient": v} for c, v in x.sorted_items()]
 
 
-def _series_json(x: TruncSeries) -> list[dict[str, Any]]:
+def series_json(x: TruncSeries) -> list[dict[str, Any]]:
+    """A truncated series as JSON: one offset and coefficient per term, sorted."""
     return [{"offset": list(c), "coefficient": v} for c, v in x.sorted_items()]
 
 
@@ -99,7 +105,7 @@ def verify_rank2_macdonald(g: GCM, bound: int) -> Report:
     """
     if g.n != 2:
         raise WrongRank(f"rank-2 identity, got rank {g.n}")
-    if all(t is DiagramType.FINITE for _, t in classify(g)):
+    if is_finite_type(g):
         raise FiniteType("identity requires an infinite-type diagram")
     lam0 = HighestWeight.of([0, 0])
     lhs = wkw_sum(lam0, g, bound)
@@ -111,9 +117,9 @@ def verify_rank2_macdonald(g: GCM, bound: int) -> Report:
         "macdonald",
         passed=not diff.terms,
         details={
-            "lhs": _series_json(lhs),
-            "rhs": _series_json(rhs),
-            "difference": _series_json(diff),
+            "lhs": series_json(lhs),
+            "rhs": series_json(rhs),
+            "difference": series_json(diff),
         },
     )
 
@@ -140,7 +146,7 @@ def verify_wkw_vs_weights(lam: HighestWeight, g: GCM, bound: int) -> Report:
         details={
             "finite_stabilizer": finite_stab,
             "coefficients_01": coeffs_ok,
-            "discrepancy": _series_json(diff),
+            "discrepancy": series_json(diff),
         },
     )
 
@@ -175,3 +181,19 @@ def check_integrability_invariants(lam: HighestWeight, g: GCM, bound: int) -> Re
         passed=preserving == ilam,
         details={"preserving": preserving, "integrability_set": ilam},
     )
+
+
+def verify_cross(lam: HighestWeight, g: GCM, bound: int) -> Report:
+    """Set equality of the slice, hull, and (when applicable) orbit formulas."""
+    ws_slice = wt_simple_slice(lam, g, bound)
+    ws_hull = wt_simple_hull(lam, g, bound)
+    details: dict = {"slice_size": len(ws_slice.members)}
+    ok = ws_slice.members == ws_hull.members
+    details["hull_equal"] = ok
+    try:
+        ws_orbit = wt_simple_orbit(lam, g, bound)
+        details["orbit_equal"] = ws_orbit.members == ws_slice.members
+        ok = ok and details["orbit_equal"]
+    except InfiniteStabilizer:
+        details["orbit_equal"] = None
+    return Report("cross", passed=ok, details=details)

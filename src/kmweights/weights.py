@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cartan import GCM
 
@@ -26,10 +26,6 @@ class HighestWeight:
     @staticmethod
     def of(values: Iterable) -> "HighestWeight":
         return HighestWeight(tuple(Fraction(v) for v in values))
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
 
 
 def ht(c: Sequence[int]) -> int:
@@ -48,8 +44,26 @@ def add(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(c1, c2))
 
 
-def sub(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(c1, c2))
+def offsets_up_to(
+    n: int, bound: int, support: Optional[Iterable[int]] = None
+) -> Iterator[Offset]:
+    """Offsets c >= 0 of rank n and height <= bound, in lexicographic order.
+
+    With `support`, only the offsets that vanish off it, in the same order
+    as the full enumeration.  The order puts every c - e_i before c.
+    """
+    nodes = None if support is None else set(support)
+    free = [nodes is None or i in nodes for i in range(n)]
+
+    def tails(i: int, room: int) -> Iterator[Offset]:
+        if i == n:
+            yield ()
+            return
+        for first in range(room + 1 if free[i] else 1):
+            for rest in tails(i + 1, room - first):
+                yield (first,) + rest
+
+    return tails(0, bound)
 
 
 def neg(c: Sequence[int]) -> tuple[int, ...]:
@@ -102,8 +116,3 @@ def in_parabolic_dominant(
         if p.denominator != 1 or p < 0:
             return False
     return True
-
-
-def fraction_str(x: Fraction) -> str:
-    """Canonical lowest-terms serialization, 'p' or 'p/q' with q > 0."""
-    return str(x)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cartan import GCM, DiagramType, classify, subdiagram
+from .cartan import GCM, is_finite_type, subdiagram
 from .errors import CapExceeded, NonIntegralPairing, NotDominantIntegral
 from .weights import (
     HighestWeight,
@@ -16,7 +16,6 @@ from .weights import (
     ht,
     is_negative,
     is_positive,
-    neg,
     pairing,
     unit,
     zero_offset,
@@ -34,10 +33,6 @@ class GroupElement:
     @property
     def length(self) -> int:
         return len(self.word)
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.length % 2 else 1
 
     def apply(self, v: Sequence[int]) -> SignedOffset:
         """Image of a root-lattice vector under w, by linearity."""
@@ -192,5 +187,4 @@ def stabilizer_is_finite(lam: HighestWeight, g: GCM, nodes: Iterable[int]) -> bo
     j0 = [i for i in nodes if lam.q[i] == 0]
     if not j0:
         return True
-    sub = subdiagram(g, j0)
-    return all(t is DiagramType.FINITE for _, t in classify(sub))
+    return is_finite_type(subdiagram(g, j0))

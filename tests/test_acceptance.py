@@ -12,7 +12,6 @@ import pytest
 from kmweights.cartan import parse_gcm
 from kmweights.errors import InfiniteStabilizer
 from kmweights.modweights import (
-    _offsets_up_to,
     wt_parabolic_verma,
     wt_parabolic_verma_induced,
     wt_simple_hull,
@@ -27,7 +26,7 @@ from kmweights.verify import (
     verify_rank2_macdonald,
     verify_wkw_vs_weights,
 )
-from kmweights.weights import HighestWeight, integrability_set
+from kmweights.weights import HighestWeight, integrability_set, offsets_up_to
 from kmweights.weyl import stabilizer_is_finite
 
 from conftest import CORPUS_CASES
@@ -82,7 +81,7 @@ def test_ac4_atiyah_bott_multiplicities(matrix, q):
     lam = HighestWeight.of([Fraction(x) for x in q])
     H = 6
     ab = atiyah_bott_sum(lam, g, H)
-    for c in _offsets_up_to(g.n, H):
+    for c in offsets_up_to(g.n, H):
         assert ab.coeff(c) == simple_multiplicity(lam, g, c)
     if matrix == [[2, -1], [-1, 2]]:
         assert ab.coeff((1, 1)) == 2

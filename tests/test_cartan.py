@@ -5,6 +5,7 @@ import pytest
 from kmweights.cartan import (
     DiagramType,
     classify,
+    components,
     parse_gcm,
     subdiagram,
     symmetrizable,
@@ -115,3 +116,17 @@ def test_symmetrizer_witness_is_exact(matrix):
         assert d[i] > 0
         for j in range(g.n):
             assert d[i] * g.a[i][j] == d[j] * g.a[j][i]
+
+
+def test_components_of_whole_diagram():
+    g = parse_gcm([[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]])
+    assert components(g) == [(0, 1), (2, 3)]
+    assert components(g, range(4)) == components(g)
+
+
+def test_components_on_node_subsets():
+    g = parse_gcm(FIG_LEFT)  # the path 0 - 1 - 2
+    assert components(g, [0, 2]) == [(0,), (2,)]
+    assert components(g, [2, 1]) == [(1, 2)]
+    assert components(g, {1}) == [(1,)]
+    assert components(g, []) == []

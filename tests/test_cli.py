@@ -231,17 +231,17 @@ def test_input_not_coerced_exit_2(tmp_path, doc, message):
     assert message in err
 
 
-def test_negative_height_exit_2(tmp_path, capsys):
+def test_negative_height_exit_2(tmp_path):
     path = write_problem(tmp_path, {"cartan": [[2]], "lambda": ["3"]})
     for argv in (
         ["weights", "--input", path, "--method", "slice", "--height", "-3"],
         ["weights", "--input", path, "--method", "hull", "--height", "3", "--depth", "-1"],
         ["roots", "--input", path, "--height", "-1"],
     ):
-        code, out, _ = invoke(argv)
+        code, out, err = invoke(argv)
         assert code == 2
         assert out == ""
-        assert "nonnegative" in capsys.readouterr().err
+        assert "nonnegative" in err
 
 
 def test_svg_hull_model_built_once(tmp_path, monkeypatch):

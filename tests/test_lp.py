@@ -8,12 +8,11 @@ from kmweights import modweights
 from kmweights.cartan import parse_gcm
 from kmweights.lp import Certificates, Proof, feasible
 from kmweights.modweights import (
-    _offsets_up_to,
     hull_contains,
     hull_generators,
     wt_simple_hull,
 )
-from kmweights.weights import HighestWeight, integrability_set
+from kmweights.weights import HighestWeight, integrability_set, offsets_up_to
 
 from conftest import CORPUS_CASES, small_gcms_and_weights
 
@@ -117,7 +116,7 @@ def test_proofs_that_do_not_check_are_dropped():
 def _assert_cache_matches_fresh_solves(lam, g, bound, depth):
     model = hull_generators(lam, g, integrability_set(lam), depth)
     a = [list(row) for row in model.certificates.a]
-    for c in _offsets_up_to(g.n, bound):
+    for c in offsets_up_to(g.n, bound):
         fresh = feasible(a, [Fraction(x) for x in c] + [Fraction(1)]) is not None
         assert hull_contains(model, c) is fresh, c
 

@@ -201,3 +201,10 @@ def test_hull_model_complete_only_when_w_j_exhausted(q, nodes, depth, complete):
     g = A1 if len(q) == 1 else A2
     assert hull_generators(HighestWeight.of(q), g, nodes, depth).complete is complete
 
+
+
+@pytest.mark.parametrize("bound", [0, 4])
+def test_parabolic_rejects_nodes_outside_integrability_set(bound):
+    lam = HighestWeight.of([1, Fraction(-1, 2)])
+    with pytest.raises(NotDominantIntegral, match=r"^\(h_1, lambda\) = -1/2$"):
+        wt_parabolic_verma(lam, A2, [0, 1], bound)

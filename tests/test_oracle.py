@@ -22,7 +22,7 @@ from kmweights.oracle import (
 )
 from kmweights.modweights import wt_simple_slice
 from kmweights.roots import positive_real_up_to
-from kmweights.weights import HighestWeight, ht
+from kmweights.weights import HighestWeight, ht, offsets_up_to
 from kmweights.weyl import reflect_weight
 
 from conftest import small_gcms_and_weights
@@ -142,9 +142,7 @@ def test_verma_multiplicity_is_kostant_count():
         for h in range(0, 6):
             for c in [
                 tuple(v)
-                for v in __import__(
-                    "kmweights.modweights", fromlist=["_offsets_up_to"]
-                )._offsets_up_to(g.n, h)
+                for v in offsets_up_to(g.n, h)
                 if sum(v) == h
             ]:
                 assert simple_multiplicity(lam, g, c) == _kostant_partitions(g, c)

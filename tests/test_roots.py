@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
-from kmweights.cartan import parse_gcm
+from kmweights.cartan import components, parse_gcm
 from kmweights.roots import (
     RootClass,
     classify_vector,
@@ -8,7 +9,9 @@ from kmweights.roots import (
     positive_real_up_to,
 )
 from kmweights.weyl import reflect
-from kmweights.weights import is_positive
+from kmweights.weights import is_positive, offsets_up_to
+
+from conftest import small_gcms_and_weights
 
 A2 = parse_gcm([[2, -1], [-1, 2]])
 B2 = parse_gcm([[2, -1], [-2, 2]])
@@ -107,3 +110,36 @@ def test_imaginary_cone_reflection_invariance():
                 img = reflect(g, i, c)
                 if is_positive(img) and sum(img) <= H:
                     assert img in im
+
+
+def _direct_sum(g, h):
+    n = g.n + h.n
+    a = [[0] * n for _ in range(n)]
+    for i in range(g.n):
+        a[i][: g.n] = g.a[i]
+    for i in range(h.n):
+        a[g.n + i][g.n :] = h.a[i]
+    return parse_gcm(a)
+
+
+@given(small_gcms_and_weights(), small_gcms_and_weights())
+@settings(max_examples=40, deadline=None)
+def test_disconnected_support_is_never_a_root(gl, hl):
+    # The direct sum puts vectors with non-positive pairings on two
+    # unlinked blocks, so the descent can stall on a disconnected support.
+    for g, bound in ((gl[0], 6), (_direct_sum(gl[0], hl[0]), 4)):
+        for c in offsets_up_to(g.n, bound):
+            supp = [i for i, x in enumerate(c) if x]
+            if len(components(g, supp)) > 1:
+                assert classify_vector(g, c) is RootClass.NOT_A_ROOT, (g.a, c)
+
+
+def test_classify_stall_on_disconnected_support():
+    # delta + delta' over two affine sl2 blocks pairs to 0 with every h_i.
+    two_affine = parse_gcm(
+        [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]
+    )
+    assert classify_vector(two_affine, (1, 1, 1, 1)) is RootClass.NOT_A_ROOT
+    assert classify_vector(two_affine, (1, 1, 0, 0)) is RootClass.POSITIVE_IMAGINARY
+    a3 = parse_gcm([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    assert classify_vector(a3, (1, 0, 1)) is RootClass.NOT_A_ROOT

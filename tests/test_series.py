@@ -10,6 +10,7 @@ from kmweights.series import (
     TruncSeries,
     atiyah_bott_sum,
     geometric_factor,
+    geometric_series,
     laurent_product,
     series_one,
     weyl_summand,
@@ -187,3 +188,14 @@ def test_laurent_order_independent():
     a = laurent_product(2, exps)
     b = laurent_product(2, list(reversed(exps)))
     assert a.terms == b.terms
+
+
+@pytest.mark.parametrize("v", [(0,), (0, 0), (1, -1), (-2, 0, 1)])
+def test_geometric_series_rejects_zero_and_mixed_vectors(v):
+    with pytest.raises(ValueError):
+        geometric_series(v, 4)
+
+
+def test_geometric_series_both_signs():
+    assert geometric_series((1, 2), 7).terms == {(0, 0): 1, (1, 2): 1, (2, 4): 1}
+    assert geometric_series((-1, 0), 2).terms == {(1, 0): -1, (2, 0): -1}

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+from itertools import product
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,6 +12,7 @@ from kmweights.weights import (
     in_parabolic_dominant,
     integrability_set,
     leq,
+    offsets_up_to,
     pairing,
 )
 
@@ -89,3 +93,27 @@ def test_pairing_integral_on_integrability_set(c):
     lam = HighestWeight.of([2, 0, Fraction(-1, 2)])
     for i in integrability_set(lam):
         assert pairing(lam, FIG_LEFT, c, i).denominator == 1
+
+
+@pytest.mark.parametrize("n,bound", [(1, 5), (2, 4), (3, 4), (4, 3)])
+def test_offsets_up_to_is_lexicographic_and_complete(n, bound):
+    full = list(offsets_up_to(n, bound))
+    assert full == sorted(c for c in product(range(bound + 1), repeat=n) if sum(c) <= bound)
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(0, 5),
+    st.lists(st.integers(0, 3), max_size=4),
+)
+def test_offsets_up_to_support_filters_in_order(n, bound, support):
+    support = {i for i in support if i < n}
+    full = list(offsets_up_to(n, bound))
+    supported = [c for c in full if all(c[i] == 0 for i in range(n) if i not in support)]
+    assert list(offsets_up_to(n, bound, support)) == supported
+    assert list(offsets_up_to(n, bound, sorted(support))) == supported
+
+
+def test_offsets_up_to_zero_bound_and_empty_support():
+    assert list(offsets_up_to(3, 0)) == [(0, 0, 0)]
+    assert list(offsets_up_to(2, 4, [])) == [(0, 0)]
