@@ -113,10 +113,10 @@ def _component_type(g: GCM, nodes: tuple[int, ...]) -> DiagramType:
     #   Finite: exists u > 0 with Au > 0;  Affine: exists u > 0 with Au = 0.
     # Both systems are homogeneous, so strictness can be replaced by >= 1.
     k = len(nodes)
-    a = [[Fraction(g.a[nodes[i]][nodes[j]]) for j in range(k)] for i in range(k)]
+    a = [[g.a[nodes[i]][nodes[j]] for j in range(k)] for i in range(k)]
     row_sums = [sum(row) for row in a]
     # Finite: A(x + 1) - s = 1, i.e. Ax - s = 1 - A1, x, s >= 0.
-    eq = [a[i] + [Fraction(-1 if i == j else 0) for j in range(k)] for i in range(k)]
+    eq = [a[i] + [-1 if i == j else 0 for j in range(k)] for i in range(k)]
     if feasible(eq, [1 - row_sums[i] for i in range(k)]) is not None:
         return DiagramType.FINITE
     # Affine: A(x + 1) = 0, i.e. Ax = -A1, x >= 0.

@@ -1,9 +1,10 @@
-"""Exact rational linear-programming feasibility, and certificates to reuse.
+"""Exact integer elimination: rank and phase-1 simplex, and certificates to reuse.
 
-`feasible` decides whether {x >= 0 : A x = b} is nonempty by a phase-1
-simplex with Bland's rule over Fractions.  No floating point anywhere: the
-affine cases this package cares about sit exactly on the finite/indefinite
-boundary.
+No floating point anywhere: the affine cases this package cares about sit
+exactly on the finite/indefinite boundary.  One fraction-free step serves
+the rank (`independent_rows`) and the simplex (`feasible`): `integer_row`
+scales a rational row to integers, and `reduce` eliminates one column of a
+row against a pivot row and divides out the gcd of the result.
 
 A solve also settles other right-hand sides b' of the same A (Farkas'
 lemma: either A x = b has a solution x >= 0, or some y has y^T A <= 0 and
@@ -11,8 +12,8 @@ y^T b > 0).  Passing a `Proof` collects what the final tableau shows:
 
 * infeasible: the phase-1 duals y, a Farkas certificate.  Every b' with
   y^T b' > 0 is infeasible too.
-* feasible: the final basis B and its exact inverse.  Every b' with
-  B^-1 b' >= 0 and zero artificial entries is feasible too.
+* feasible: the final basis B and B^-1 as integer rows over one scale.
+  Every b' with B^-1 b' >= 0 and zero artificial entries is feasible too.
 
 `Certificates` keeps the proofs of earlier solves on one fixed A.  It
 checks each one exactly before trusting it: a Farkas vector when it is
@@ -23,9 +24,49 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 from typing import Optional, Sequence
 
-Row = list[Fraction]
+Vector = Sequence[Rational]
+
+
+def integer_row(row: Vector) -> tuple[int, list[int]]:
+    """(d, d * row) for d the lcm of the denominators of the rational row."""
+    d = lcm(*(x.denominator for x in row))
+    return d, [x.numerator * (d // x.denominator) for x in row]
+
+
+def reduce(row: Sequence[int], pivot_row: Sequence[int], col: int) -> list[int]:
+    """pivot_row[col] * row - row[col] * pivot_row, divided by its content.
+
+    The result is zero in column `col`.  It is a positive multiple of the
+    rationally reduced row when pivot_row[col] > 0.
+    """
+    p, a = pivot_row[col], row[col]
+    r = [p * x - a * y for x, y in zip(row, pivot_row)]
+    content = gcd(*r)
+    return [x // content for x in r] if content > 1 else r
+
+
+def independent_rows(rows: Sequence[Vector]) -> list[int]:
+    """Indices of the rows independent of the rows before them.
+
+    Each row is scaled to integers and reduced by the echelon rows kept so
+    far; it is kept when something is left, so the kept rows count the rank.
+    """
+    kept: list[int] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for index, row in enumerate(rows):
+        _, r = integer_row(row)
+        for col, prow in echelon:
+            if r[col]:
+                r = reduce(r, prow, col)
+        col = next((k for k, x in enumerate(r) if x), None)
+        if col is not None:
+            echelon.append((col, r))
+            kept.append(index)
+    return kept
 
 
 @dataclass
@@ -33,158 +74,137 @@ class Proof:
     """What one `feasible` solve leaves besides its answer, not yet checked.
 
     `farkas` is set when the system is infeasible; `basis` (column indices,
-    n + i standing for the artificial of row i) and `inverse` (B^-1 in the
-    caller's row signs) when it is feasible.
+    n + i standing for the artificial of row i), `inverse` and `scale`
+    (B^-1 = inverse / scale in the caller's rows) when it is feasible.
     """
 
-    farkas: Optional[Row] = None
+    farkas: Optional[list[int]] = None
     basis: Optional[list[int]] = None
-    inverse: Optional[list[Row]] = None
+    inverse: Optional[list[list[int]]] = None
+    scale: int = 1
 
 
 def feasible(
-    a: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    proof: Optional[Proof] = None,
+    a: Sequence[Vector], b: Vector, proof: Optional[Proof] = None
 ) -> Optional[list[Fraction]]:
     """Return some x >= 0 with A x = b, or None if the system is infeasible.
 
     When `proof` is given, the solve's certificate is written into it.
+    Each integer tableau row is a positive multiple of the rational one, so
+    Bland's choice and the ratio test are those of the rational simplex on
+    the scaled rows (on integral A and b, the rows as given).
     """
-    m = len(a)
-    if m == 0:
-        return []
-    n = len(a[0])
-
-    # Normalize to b >= 0, then append one artificial variable per row.
-    tab: list[Row] = []
-    rhs: Row = []
-    signs: list[int] = []
+    m, n = len(a), len(a[0])
+    rhs = total = n + m
+    # Row i: factor_i (a_i | b_i) made integral with b_i >= 0, an artificial
+    # column per row, and a 0 in the objective row's scale column.
+    factors: list[int] = []
+    tab: list[list[int]] = []
     for i in range(m):
-        row = [Fraction(v) for v in a[i]]
-        bi = Fraction(b[i])
-        sign = -1 if bi < 0 else 1
-        if sign < 0:
-            row = [-v for v in row]
-            bi = -bi
-        tab.append(row)
-        rhs.append(bi)
-        signs.append(sign)
-
-    total = n + m
-    for i in range(m):
-        for j in range(m):
-            tab[i].append(Fraction(1 if i == j else 0))
+        d, row = integer_row([*a[i], b[i]])
+        if row[-1] < 0:
+            d, row = -d, [-v for v in row]
+        factors.append(d)
+        tab.append(row[:n] + [int(i == k) for k in range(m)] + [row[n], 0])
     basis = list(range(n, total))
 
-    # Phase-1 objective: minimize the sum of artificials.
-    cost = [Fraction(0)] * total
-    for j in range(n, total):
-        cost[j] = Fraction(1)
-    # Reduced costs relative to the artificial basis.
-    z = [Fraction(0)] * total
-    for j in range(total):
-        z[j] = sum(tab[i][j] for i in range(m)) - cost[j]
-    zval = sum(rhs)
+    # Phase 1 minimizes the sum of artificials.  z is scale * (reduced costs
+    # | objective value) relative to the artificial basis, then scale > 0.
+    z = [sum(col) for col in zip(*tab)]
+    z[n:total] = [0] * m
+    z[-1] = 1
 
     while True:
-        enter = -1
-        for j in range(total):  # Bland: smallest index with positive reduced cost
-            if z[j] > 0:
-                enter = j
-                break
-        if enter < 0:
+        enter = next((j for j in range(total) if z[j] > 0), None)  # Bland
+        if enter is None:
             break
-        leave = -1
-        best: Optional[Fraction] = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = rhs[i] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            break  # unbounded phase-1 cannot happen, guard anyway
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv if v else v for v in tab[leave]]
-        rhs[leave] /= piv
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [u - f * v if v else u for u, v in zip(tab[i], tab[leave])]
-                rhs[i] -= f * rhs[leave]
-        f = z[enter]
-        z = [u - f * v if v else u for u, v in zip(z, tab[leave])]
-        zval -= f * rhs[leave]
+        # Ratio test rhs_i / tab_i[enter], cross-multiplied; phase 1 is
+        # bounded below, so some row has a positive entry.
+        rows = [i for i in range(m) if tab[i][enter] > 0]
+        leave = rows[0]
+        for i in rows[1:]:
+            diff = tab[i][rhs] * tab[leave][enter] - tab[leave][rhs] * tab[i][enter]
+            if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                leave = i
+        pivot = tab[leave]
+        tab = [
+            reduce(row, pivot, enter) if i != leave and row[enter] else row
+            for i, row in enumerate(tab)
+        ]
+        z = reduce(z, pivot, enter)
         basis[leave] = enter
 
-    if zval != 0:
+    if z[rhs] != 0:
         if proof is not None:
-            # z[n+i] = y_i - 1 for the duals y of the sign-normalized rows.
-            proof.farkas = [(z[n + i] + 1) * signs[i] for i in range(m)]
+            # z[n+i] / z[-1] = y_i - 1 for the duals y of the scaled rows.
+            proof.farkas = [(z[n + i] + z[-1]) * factors[i] for i in range(m)]
         return None
+    # Row k is d_k times the rational row, d_k its basic entry; its
+    # artificial columns hold d_k B^-1 of the scaled rows.
+    diag = [tab[k][basis[k]] for k in range(m)]
     if proof is not None:
-        # The artificial columns of the final tableau hold B^-1 of the
-        # sign-normalized system; undo the row flips.
-        proof.basis = list(basis)
-        proof.inverse = [[tab[k][n + i] * signs[i] for i in range(m)] for k in range(m)]
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = rhs[i]
-    return x
+        common = lcm(*diag)
+        proof.basis, proof.scale = list(basis), common
+        proof.inverse = [
+            [common // diag[k] * tab[k][n + i] * factors[i] for i in range(m)]
+            for k in range(m)
+        ]
+    x = {basis[k]: Fraction(tab[k][rhs], diag[k]) for k in range(m)}
+    return [x.get(j, Fraction(0)) for j in range(n)]
 
 
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((p * q for p, q in zip(u, v)), Fraction(0))
+def _dot(u: Vector, v: Vector) -> Rational:
+    return sum(p * q for p, q in zip(u, v))
 
 
 class Certificates:
     """Exactly checked proofs of earlier solves of A x = b, x >= 0, for one A.
 
     `decide(b)` answers from the stored proofs when one applies; `learn`
-    stores the proof of a fresh `feasible` solve.
+    stores the proof of a fresh `feasible` solve.  With integral A and b
+    every check is an integer dot product.
     """
 
-    def __init__(self, a: Sequence[Sequence[Fraction]]):
-        self.a: list[Row] = [[Fraction(v) for v in row] for row in a]
+    def __init__(self, a: Sequence[Vector]):
+        self.a = [list(row) for row in a]
         self.n = len(self.a[0]) if self.a else 0
-        self.farkas: list[Row] = []
-        self.bases: list[tuple[list[int], list[Row]]] = []
+        self.farkas: list[list[int]] = []
+        self.bases: list[tuple[list[int], list[list[int]], int]] = []
 
-    def decide(self, b: Sequence[Fraction]) -> Optional[bool]:
+    def decide(self, b: Vector) -> Optional[bool]:
         """Feasibility of A x = b if a stored proof settles it, else None."""
         for y in self.farkas:
             if _dot(y, b) > 0:
                 return False
-        for basis, inverse in self.bases:
-            if self.basis_solution(basis, inverse, b) is not None:
+        for basis in self.bases:
+            if self._scaled_solution(*basis, b) is not None:
                 return True
         return None
 
-    def learn(self, b: Sequence[Fraction], proof: Proof) -> None:
+    def learn(self, b: Vector, proof: Proof) -> None:
         """Store the proofs of a solve for b that check exactly; drop the rest."""
         if proof.farkas is not None and self.is_farkas(proof.farkas, b):
             self.farkas.append(proof.farkas)
         if proof.basis is not None and proof.inverse is not None:
-            if self.basis_solution(proof.basis, proof.inverse, b) is not None:
-                self.bases.append((proof.basis, proof.inverse))
+            basis = (proof.basis, proof.inverse, proof.scale)
+            if self._scaled_solution(*basis, b) is not None:
+                self.bases.append(basis)
 
-    def is_farkas(self, y: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
+    def is_farkas(self, y: Vector, b: Vector) -> bool:
         """y^T A <= 0 on every column and y^T b > 0: A x = b has no x >= 0."""
         return _dot(y, b) > 0 and all(
             _dot(y, [row[j] for row in self.a]) <= 0 for j in range(self.n)
         )
 
-    def basis_solution(
-        self, basis: Sequence[int], inverse: Sequence[Row], b: Sequence[Fraction]
-    ) -> Optional[list[Fraction]]:
-        """x >= 0 with A x = b from x_B = B^-1 b, or None if this basis fails.
+    def _scaled_solution(
+        self, basis: Sequence[int], inverse: Sequence[Vector], scale: int, b: Vector
+    ) -> Optional[dict[int, Rational]]:
+        """{j: scale * x_j} for the basic j < n, or None if the basis fails.
 
         Artificial basic entries must be 0, and A_B x_B = b is checked
         exactly, so a wrong inverse can only make this return None.
         """
-        x_b: dict[int, Fraction] = {}
+        x_b = {}
         for j, row in zip(basis, inverse):
             v = _dot(row, b)
             if v < 0 or (j >= self.n and v != 0):
@@ -192,9 +212,15 @@ class Certificates:
             if j < self.n:
                 x_b[j] = v
         for row, bi in zip(self.a, b):
-            if sum((row[j] * v for j, v in x_b.items()), Fraction(0)) != bi:
+            if sum(row[j] * v for j, v in x_b.items()) != scale * bi:
                 return None
-        x = [Fraction(0)] * self.n
-        for j, v in x_b.items():
-            x[j] = v
-        return x
+        return x_b
+
+    def basis_solution(
+        self, basis: Sequence[int], inverse: Sequence[Vector], scale: int, b: Vector
+    ) -> Optional[list[Fraction]]:
+        """x >= 0 with A x = b from x_B = B^-1 b, or None if this basis fails."""
+        x_b = self._scaled_solution(basis, inverse, scale, b)
+        if x_b is None:
+            return None
+        return [Fraction(x_b.get(j, 0), scale) for j in range(self.n)]

@@ -8,7 +8,6 @@ parabolic Verma generalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -187,7 +186,7 @@ def hull_contains(model: HullModel, c: Offset) -> bool:
     c, decides c without a new LP.
     """
     certs = model.certificates
-    b = [Fraction(x) for x in c] + [Fraction(1)]
+    b = [*c, 1]
     known = certs.decide(b)
     if known is None:
         proof = Proof()

@@ -14,10 +14,11 @@ is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 
 from .cartan import GCM, symmetrizable
 from .errors import BudgetExceeded
+from .lp import independent_rows
 from .modweights import WeightSet
 from .weights import HighestWeight, Offset, offsets_up_to
 
@@ -114,34 +115,6 @@ def gram_entry(
     if word_offset(u, g.n) != word_offset(v, g.n):
         raise ValueError("words have different offsets")
     return GramBuilder(lam, g).form(u, v)
-
-
-def independent_rows(rows: list[list[Fraction]]) -> list[int]:
-    """Indices of the rows independent of the rows before them.
-
-    Exact fraction-free elimination: each row is scaled to integers,
-    reduced by the echelon rows kept so far (each step divided by the
-    gcd of the entries) and kept when something is left.  The count of
-    kept rows is the rank.
-    """
-    kept: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for index, row in enumerate(rows):
-        den = lcm(*(x.denominator for x in row))
-        r = [x.numerator * (den // x.denominator) for x in row]
-        for col, prow in echelon:
-            a = r[col]
-            if a:
-                b = prow[col]
-                r = [b * x - a * y for x, y in zip(r, prow)]
-                content = gcd(*r)
-                if content > 1:
-                    r = [x // content for x in r]
-        col = next((k for k, x in enumerate(r) if x), None)
-        if col is not None:
-            echelon.append((col, r))
-            kept.append(index)
-    return kept
 
 
 def _gram(builder: GramBuilder, words: list[LoweringWord]) -> list[list[Fraction]]:

@@ -244,6 +244,17 @@ def test_negative_height_exit_2(tmp_path):
         assert "nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv,usage",
+    [(["--help"], "usage: kmweights "), (["weights", "--help"], "usage: kmweights weights ")],
+)
+def test_help_exits_0_on_the_given_stdout(argv, usage):
+    code, out, err = invoke(argv)
+    assert code == 0
+    assert out.startswith(usage)
+    assert err == ""
+
+
 def test_svg_hull_model_built_once(tmp_path, monkeypatch):
     from kmweights import modweights
 

@@ -47,16 +47,25 @@ def test_farkas_certificate_with_negative_rows(a, b):
     assert Certificates(a).is_farkas(proof.farkas, b)
 
 
+# Rational entries make feasible scale its rows to integers; the proofs it
+# leaves must still check exactly against the caller's rows.
+RATIONALS = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
+
+
+def _entries(bound):
+    return st.one_of(st.integers(-bound, bound), st.sampled_from(RATIONALS))
+
+
 small_systems = st.integers(1, 3).flatmap(
     lambda m: st.tuples(
         st.integers(1, 4).flatmap(
             lambda n: st.lists(
-                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                st.lists(_entries(3), min_size=n, max_size=n),
                 min_size=m,
                 max_size=m,
             )
         ),
-        st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+        st.lists(_entries(4), min_size=m, max_size=m),
     )
 )
 
@@ -72,7 +81,7 @@ def test_every_solve_leaves_a_checked_proof(system):
         _assert_farkas(a, b, proof.farkas)
     else:
         assert proof.farkas is None
-        y = certs.basis_solution(proof.basis, proof.inverse, b)
+        y = certs.basis_solution(proof.basis, proof.inverse, proof.scale, b)
         assert y is not None and min(y, default=0) >= 0
         assert [_dot(row, y) for row in a] == b
     certs.learn(b, proof)
@@ -90,13 +99,13 @@ def test_basis_reuse_inside_and_outside_its_cone():
     # A positive combination of the basic columns lies in the basis cone.
     basic = [j for j in proof.basis if j < len(a[0])]
     inside = [sum((k + 1) * a[r][j] for k, j in enumerate(basic)) for r in range(2)]
-    x = certs.basis_solution(proof.basis, proof.inverse, inside)
+    x = certs.basis_solution(proof.basis, proof.inverse, proof.scale, inside)
     assert x is not None and min(x) >= 0
     assert [_dot(row, x) for row in a] == inside
     assert certs.decide(inside) is True
     # -inside needs negative coefficients on the same columns.
     outside = [-v for v in inside]
-    assert certs.basis_solution(proof.basis, proof.inverse, outside) is None
+    assert certs.basis_solution(proof.basis, proof.inverse, proof.scale, outside) is None
 
 
 def test_proofs_that_do_not_check_are_dropped():

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from kmweights.cartan import parse_gcm
 from kmweights.errors import InfiniteStabilizer, NotDominantIntegral
@@ -16,6 +17,9 @@ from kmweights.modweights import (
     wt_simple_slice,
 )
 from kmweights.weights import HighestWeight, ht, integrability_set
+from kmweights.weyl import stabilizer_is_finite
+
+from conftest import small_gcms_and_weights
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -208,3 +212,17 @@ def test_parabolic_rejects_nodes_outside_integrability_set(bound):
     lam = HighestWeight.of([1, Fraction(-1, 2)])
     with pytest.raises(NotDominantIntegral, match=r"^\(h_1, lambda\) = -1/2$"):
         wt_parabolic_verma(lam, A2, [0, 1], bound)
+
+
+H_BY_RANK = {1: 8, 2: 6, 3: 4}
+
+
+@given(small_gcms_and_weights())
+@settings(max_examples=40, deadline=None)
+def test_slice_hull_and_orbit_agree_on_random_gcms(case):
+    g, lam = case
+    bound = H_BY_RANK[g.n]
+    members = wt_simple_slice(lam, g, bound).members
+    assert wt_simple_hull(lam, g, bound).members == members
+    if stabilizer_is_finite(lam, g, integrability_set(lam)):
+        assert wt_simple_orbit(lam, g, bound).members == members

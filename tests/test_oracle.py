@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from kmweights.cartan import parse_gcm
 from kmweights.errors import BudgetExceeded
+from kmweights.lp import independent_rows
 from kmweights.oracle import (
     GramBuilder,
     gram_entry,
-    independent_rows,
     oracle_weight_set,
     oracle_is_advisory,
     simple_multiplicity,
