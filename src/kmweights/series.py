@@ -12,7 +12,6 @@ from typing import Iterable
 
 from .cartan import GCM, is_finite_type
 from .errors import NotFiniteType, NotIntegrable
-from .roots import positive_real_up_to
 from .weights import (
     HighestWeight,
     Offset,
@@ -24,7 +23,6 @@ from .weights import (
     is_positive,
     neg,
     scale,
-    zero_offset,
 )
 from .weyl import GroupElement, enumerate_group
 
@@ -65,10 +63,9 @@ class TruncSeries:
         return TruncSeries(self.rank, bound, terms)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + other.negate()
-
-    def negate(self) -> "TruncSeries":
-        return TruncSeries(self.rank, self.bound, {c: -v for c, v in self.terms.items()})
+        return self + TruncSeries(
+            other.rank, other.bound, {c: -v for c, v in other.terms.items()}
+        )
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.rank != other.rank:
@@ -90,23 +87,14 @@ class TruncSeries:
                     terms.pop(c, None)
         return TruncSeries(self.rank, bound, terms)
 
-    def truncate(self, bound: int) -> "TruncSeries":
-        return TruncSeries(
-            self.rank, bound, {c: v for c, v in self.terms.items() if ht(c) <= bound}
-        )
-
     def sorted_items(self) -> list[tuple[Offset, int]]:
         return sorted(self.terms.items())
 
 
-def series_one(rank: int, bound: int) -> TruncSeries:
-    return TruncSeries(rank, bound, {zero_offset(rank): 1})
-
-
-def series_monomial(c: Offset, bound: int, coeff: int = 1) -> TruncSeries:
-    if ht(c) > bound or coeff == 0:
+def series_monomial(c: Offset, bound: int) -> TruncSeries:
+    if ht(c) > bound:
         return TruncSeries(len(c), bound, {})
-    return TruncSeries(len(c), bound, {tuple(c): coeff})
+    return TruncSeries(len(c), bound, {tuple(c): 1})
 
 
 def geometric_series(v: SignedOffset, bound: int) -> TruncSeries:
@@ -130,11 +118,6 @@ def geometric_series(v: SignedOffset, bound: int) -> TruncSeries:
     return TruncSeries(len(v), bound, terms)
 
 
-def geometric_factor(g: GCM, w: GroupElement, i: int, bound: int) -> TruncSeries:
-    """The highest-weight expansion of w(1 - e^{-alpha_i})^{-1}."""
-    return geometric_series(w.simple_images[i], bound)
-
-
 def weyl_summand(
     lam: HighestWeight, g: GCM, w: GroupElement, bound: int
 ) -> TruncSeries:
@@ -143,7 +126,7 @@ def weyl_summand(
     for i in range(g.n):
         if not out.terms:
             break
-        out = out * geometric_factor(g, w, i, bound)
+        out = out * geometric_series(w.simple_images[i], bound)
     return out
 
 
@@ -166,10 +149,9 @@ def atiyah_bott_sum(lam: HighestWeight, g: GCM, bound: int) -> TruncSeries:
         raise NotFiniteType("character sum requires a finite-type diagram")
     if integrability_set(lam) != frozenset(range(g.n)):
         raise NotIntegrable("requires dominant integral highest weight")
-    # Finite type: roots stabilize at bounded height.
-    pos_roots = _all_positive_roots(g)
+    elements, pos_roots = finite_weyl_group(lam, g)
     out = TruncSeries(g.n, bound, {})
-    for w in enumerate_group(lam, g, range(g.n), height=None):
+    for w in elements:
         term = series_monomial(w.displacement, bound)
         for beta in pos_roots:
             if not term.terms:
@@ -179,14 +161,17 @@ def atiyah_bott_sum(lam: HighestWeight, g: GCM, bound: int) -> TruncSeries:
     return out
 
 
-def _all_positive_roots(g: GCM) -> list[SignedOffset]:
-    h = 1
-    cur = positive_real_up_to(g, h)
-    while True:
-        nxt = positive_real_up_to(g, h + 1)
-        if nxt == cur:
-            return sorted(cur)
-        cur, h = nxt, h + 1
+def finite_weyl_group(
+    lam: HighestWeight, g: GCM
+) -> tuple[list[GroupElement], list[SignedOffset]]:
+    """All of W for a finite-type g, in length order, and its positive roots.
+
+    Every real root is some w(alpha_i), so the positive images w(alpha_i)
+    are exactly Phi^+; they come sorted.
+    """
+    elements = list(enumerate_group(lam, g, range(g.n), height=None, cap=2 ** 16))
+    pos = {a for w in elements for a in w.simple_images if is_positive(a)}
+    return elements, sorted(pos)
 
 
 @dataclass(frozen=True)
@@ -195,16 +180,6 @@ class LaurentElt:
 
     rank: int
     terms: dict[SignedOffset, int] = field(default_factory=dict)
-
-    def __add__(self, other: "LaurentElt") -> "LaurentElt":
-        terms = dict(self.terms)
-        for c, v in other.terms.items():
-            w = terms.get(c, 0) + v
-            if w:
-                terms[c] = w
-            else:
-                terms.pop(c, None)
-        return LaurentElt(self.rank, terms)
 
     def __mul__(self, other: "LaurentElt") -> "LaurentElt":
         terms: dict[SignedOffset, int] = {}
@@ -217,12 +192,6 @@ class LaurentElt:
                 else:
                     terms.pop(c, None)
         return LaurentElt(self.rank, terms)
-
-    def __sub__(self, other: "LaurentElt") -> "LaurentElt":
-        return self + LaurentElt(other.rank, {c: -v for c, v in other.terms.items()})
-
-    def sorted_items(self) -> list[tuple[SignedOffset, int]]:
-        return sorted(self.terms.items())
 
 
 def laurent_one(rank: int) -> LaurentElt:

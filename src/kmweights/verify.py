@@ -16,10 +16,9 @@ from .errors import (
 from .modweights import wt_simple_hull, wt_simple_orbit, wt_simple_slice
 from .roots import positive_imaginary_up_to
 from .series import (
-    LaurentElt,
     TruncSeries,
+    finite_weyl_group,
     laurent_product,
-    series_one,
     wkw_sum,
 )
 from .weights import (
@@ -28,7 +27,7 @@ from .weights import (
     integrability_set,
     neg,
 )
-from .weyl import enumerate_group, reflect_weight, stabilizer_is_finite
+from .weyl import reflect_weight, stabilizer_is_finite
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,6 @@ class Report:
         }
 
 
-def _laurent_json(x: LaurentElt) -> list[dict[str, Any]]:
-    return [{"exponent": list(c), "coefficient": v} for c, v in x.sorted_items()]
-
-
 def series_json(x: TruncSeries) -> list[dict[str, Any]]:
     """A truncated series as JSON: one offset and coefficient per term, sorted."""
     return [{"offset": list(c), "coefficient": v} for c, v in x.sorted_items()]
@@ -59,40 +54,33 @@ def series_json(x: TruncSeries) -> list[dict[str, Any]]:
 def verify_denominator_bases(g: GCM) -> Report:
     """Coordinate-free denominator identity over all bases of a finite root system.
 
-    Bases are the W-images of the standard base (simple transitivity);
-    both sides are exact Laurent elements on the root lattice.
+    The bases are the images w(Pi) for w in W, and w permutes Phi, so the
+    term of the base w(Pi) is w applied to P = prod over Phi minus Pi of
+    (1 - e^{-a}).  The terms w(P) are subtracted from an independent product
+    over all of Phi, exactly on the root lattice.
     """
     if not is_finite_type(g):
         raise NotFiniteType("denominator identity requires finite type")
-    lam0 = HighestWeight.of([0] * g.n)
-    elements = list(enumerate_group(lam0, g, range(g.n), height=None, cap=2 ** 16))
-    bases = []
-    seen = set()
+    elements, pos = finite_weyl_group(HighestWeight.of([0] * g.n), g)
+    all_roots = sorted(pos + [neg(a) for a in pos])
+    lhs = laurent_product(g.n, (neg(a) for a in all_roots))
+    simple = set(elements[0].simple_images)
+    p = laurent_product(g.n, (neg(a) for a in all_roots if a not in simple))
+    # W acts simply transitively on bases, so each base is subtracted once; a
+    # repeated w would subtract its term twice and the check itself would FAIL.
+    diff = dict(lhs.terms)
     for w in elements:
-        base = frozenset(w.simple_images)
-        assert base not in seen, "W must act simply transitively on bases"
-        seen.add(base)
-        bases.append(sorted(base))
-    assert len(bases) == len(elements)
-    all_roots: set = set()
-    for base in bases:
-        all_roots.update(base)
-        all_roots.update(neg(b) for b in base)
-    lhs = laurent_product(g.n, (neg(a) for a in sorted(all_roots)))
-    rhs = LaurentElt(g.n, {})
-    for base in bases:
-        pi = set(base)
-        rhs = rhs + laurent_product(
-            g.n, (neg(a) for a in sorted(all_roots) if a not in pi)
-        )
-    diff = lhs - rhs
+        for c, v in p.terms.items():
+            wc = w.apply(c)
+            diff[wc] = diff.get(wc, 0) - v
+    left = sorted((c, v) for c, v in diff.items() if v)
     return Report(
         "denominator",
-        passed=not diff.terms,
+        passed=not left,
         details={
-            "bases": len(bases),
+            "bases": len(elements),
             "roots": len(all_roots),
-            "difference": _laurent_json(diff),
+            "difference": [{"exponent": list(c), "coefficient": v} for c, v in left],
         },
     )
 
@@ -109,9 +97,9 @@ def verify_rank2_macdonald(g: GCM, bound: int) -> Report:
         raise FiniteType("identity requires an infinite-type diagram")
     lam0 = HighestWeight.of([0, 0])
     lhs = wkw_sum(lam0, g, bound)
-    rhs = series_one(2, bound)
-    for delta in positive_imaginary_up_to(g, bound):
-        rhs = rhs + TruncSeries(2, bound, {delta: 1})
+    terms = dict.fromkeys(positive_imaginary_up_to(g, bound), 1)
+    terms[(0, 0)] = 1
+    rhs = TruncSeries(2, bound, terms)
     diff = lhs - rhs
     return Report(
         "macdonald",

@@ -1,4 +1,4 @@
-"""Highest weights, offsets, pairings, integrability, dominance order.
+"""Highest weights, offsets, pairings, integrability.
 
 A weight is always mu = lambda - sum_i c_i alpha_i and is stored as the
 offset vector c; lambda itself enters only through its exact rational
@@ -98,13 +98,6 @@ def integrability_set(lam: HighestWeight) -> frozenset[int]:
     return frozenset(
         i for i, qi in enumerate(lam.q) if qi.denominator == 1 and qi >= 0
     )
-
-
-def leq(c1: Offset, c2: Offset) -> bool:
-    """mu1 <= mu2 in the dominance order, mu_k = lambda - c_k."""
-    if len(c1) != len(c2):
-        raise ValueError("rank mismatch")
-    return all(x >= y for x, y in zip(c1, c2))
 
 
 def in_parabolic_dominant(

@@ -75,7 +75,7 @@ def reflect_weight(
     return tuple(out)
 
 
-def min_summand_height(lam: HighestWeight, w: GroupElement) -> int:
+def min_summand_height(w: GroupElement) -> int:
     """Height of the lowest-order term the summand of w can contribute."""
     h = ht(w.displacement)
     for img in w.simple_images:
@@ -124,7 +124,7 @@ def enumerate_group(
     while frontier:
         live = False
         for w in frontier:
-            if height is None or min_summand_height(lam, w) <= height:
+            if height is None or min_summand_height(w) <= height:
                 live = True
                 yield w
         if not live:

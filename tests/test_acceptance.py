@@ -72,14 +72,18 @@ def test_ac3_wkw_indicator(g, lam):
 
 
 @pytest.mark.parametrize(
-    "matrix,q",
-    [([[2]], ["3"]), ([[2, -1], [-1, 2]], ["1", "1"]), ([[2, -1], [-2, 2]], ["1", "0"])],
-    ids=["A1", "A2", "B2"],
+    "matrix,q,H",
+    [
+        ([[2]], ["3"], 6),
+        ([[2, -1], [-1, 2]], ["1", "1"], 6),
+        ([[2, -1], [-2, 2]], ["1", "0"], 6),
+        ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], ["1", "0", "0"], 4),
+    ],
+    ids=["A1", "A2", "B2", "B3"],
 )
-def test_ac4_atiyah_bott_multiplicities(matrix, q):
+def test_ac4_atiyah_bott_multiplicities(matrix, q, H):
     g = parse_gcm(matrix)
     lam = HighestWeight.of([Fraction(x) for x in q])
-    H = 6
     ab = atiyah_bott_sum(lam, g, H)
     for c in offsets_up_to(g.n, H):
         assert ab.coeff(c) == simple_multiplicity(lam, g, c)
@@ -89,13 +93,20 @@ def test_ac4_atiyah_bott_multiplicities(matrix, q):
 
 
 @pytest.mark.parametrize(
-    "matrix",
-    [[[2]], [[2, -1], [-1, 2]], [[2, -1], [-2, 2]], [[2, -1], [-3, 2]]],
-    ids=["A1", "A2", "B2", "G2"],
+    "matrix,bases,roots",
+    [
+        ([[2]], 2, 2),
+        ([[2, -1], [-1, 2]], 6, 6),
+        ([[2, -1], [-2, 2]], 8, 8),
+        ([[2, -1], [-3, 2]], 12, 12),
+        ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 48, 18),
+    ],
+    ids=["A1", "A2", "B2", "G2", "B3"],
 )
-def test_ac5_denominator_bases(matrix):
+def test_ac5_denominator_bases(matrix, bases, roots):
     r = verify_denominator_bases(parse_gcm(matrix))
     assert r.passed, r.details["difference"]
+    assert (r.details["bases"], r.details["roots"]) == (bases, roots)
     _report(f"AC-5 PASS {matrix} bases={r.details['bases']}")
 
 

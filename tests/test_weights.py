@@ -11,7 +11,6 @@ from kmweights.weights import (
     HighestWeight,
     in_parabolic_dominant,
     integrability_set,
-    leq,
     offsets_up_to,
     pairing,
 )
@@ -58,22 +57,6 @@ def test_integrability_set_dominant_integral():
 
 def test_integrability_set_empty():
     assert integrability_set(HighestWeight.of([-3])) == frozenset()
-
-
-def test_leq_componentwise():
-    assert leq((2, 1), (1, 1))
-    assert not leq((1, 0), (0, 1))
-    assert not leq((0, 1), (1, 0))
-    assert leq((1, 1), (1, 1))
-
-
-@given(offsets3, offsets3, offsets3)
-def test_leq_is_partial_order(c1, c2, c3):
-    assert leq(c1, c1)
-    if leq(c1, c2) and leq(c2, c1):
-        assert c1 == c2
-    if leq(c1, c2) and leq(c2, c3):
-        assert leq(c1, c3)
 
 
 def test_parabolic_dominant_empty_nodes():
