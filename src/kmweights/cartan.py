@@ -5,10 +5,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import InvalidGCM
 from .lp import feasible
+
+T = TypeVar("T", bound=Hashable)
 
 
 class DiagramType(enum.Enum):
@@ -85,17 +87,24 @@ def components(g: GCM, nodes: Optional[Iterable[int]] = None) -> list[tuple[int,
     left = set(range(g.n) if nodes is None else nodes)
     out = []
     while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in g.neighbors(i):
-                if j in left and j not in comp:
-                    comp.add(j)
-                    stack.append(j)
+        comp = closure([min(left)], lambda i: [j for j in g.neighbors(i) if j in left])
         left -= comp
         out.append(tuple(sorted(comp)))
+    return out
+
+
+def closure(seeds: Iterable[T], successors: Callable[[T], Iterable[T]]) -> set[T]:
+    """Everything reachable from `seeds` by repeated `successors`, seeds included.
+
+    Breadth-first; each element is expanded once.
+    """
+    queue = list(seeds)
+    out = set(queue)
+    for x in queue:  # the loop also visits what it appends
+        for y in successors(x):
+            if y not in out:
+                out.add(y)
+                queue.append(y)
     return out
 
 

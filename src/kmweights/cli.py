@@ -113,12 +113,7 @@ def _default_projection(n: int) -> list[list[Fraction]]:
     raise InputError(f"no default projection for rank {n}")
 
 
-def emit_svg(
-    lam: HighestWeight,
-    g: GCM,
-    ws: modweights.WeightSet,
-    hull: modweights.HullModel,
-) -> str:
+def emit_svg(g: GCM, ws: modweights.WeightSet, hull: modweights.HullModel) -> str:
     """Deterministic SVG: weight dots, projected hull polygon, ray arrows."""
     proj = _default_projection(g.n)
 
@@ -300,7 +295,7 @@ def _dispatch(args, stdout) -> int:
         else:
             ws = oracle.oracle_weight_set(lam, g, args.height)
         if args.format == "svg":
-            stdout.write(emit_svg(lam, g, ws, model))
+            stdout.write(emit_svg(g, ws, model))
         else:
             _emit(_weight_set_json(lam, g, ws, args.depth), stdout)
         return EXIT_OK

@@ -34,7 +34,7 @@ class NotDominantIntegral(KMError):
 
 
 class BudgetExceeded(KMError):
-    """Oracle weight space is larger than the configured word budget."""
+    """Work is over a size budget: oracle words, Weyl group or denominator terms."""
 
 
 class WrongRank(KMError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .cartan import GCM, components
+from .cartan import GCM, closure, components
 from .errors import InfiniteStabilizer, NotDominantIntegral
 from .lp import Certificates, Proof, feasible
 from .roots import positive_imaginary_up_to, positive_real_up_to
@@ -61,7 +61,6 @@ class HullModel:
 
     vertices: frozenset[Offset]
     rays: frozenset[SignedOffset]
-    depth: int
     complete: bool
 
     @cached_property
@@ -162,7 +161,7 @@ def hull_generators(
         # w s_i is longer than w exactly when w alpha_i > 0.
         if w.length == depth and any(is_positive(w.simple_images[i]) for i in nodes):
             complete = False
-    return HullModel(frozenset(vertices), frozenset(rays), depth, complete)
+    return HullModel(frozenset(vertices), frozenset(rays), complete)
 
 
 def hull_model(
@@ -245,20 +244,10 @@ def wt_parabolic_verma_induced(
         for beta in pos
         if any(beta[i] for i in range(g.n) if i not in node_set)
     )
-    # All Z>=0-combinations of the lowering roots, by height DP.
-    cone: set[Offset] = {zero_offset(g.n)}
-    for beta in lowering:
-        grown = set(cone)
-        frontier = set(cone)
-        while frontier:
-            nxt = set()
-            for c in frontier:
-                u = add(c, beta)
-                if ht(u) <= bound and u not in grown:
-                    grown.add(u)
-                    nxt.add(u)
-            frontier = nxt
-        cone = grown
+    # All Z>=0-combinations of the lowering roots up to the height bound.
+    cone = closure([zero_offset(g.n)], lambda c: [
+        u for beta in lowering if ht(u := add(c, beta)) <= bound
+    ])
     levi = wt_integrable(lam, g, nodes, bound)
     members: set[Offset] = set()
     for cu in cone:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 
-from .cartan import GCM, components
+from .cartan import GCM, closure, components
 from .weights import SignedOffset, cartan_pairing, ht, is_positive, offsets_up_to, unit
 from .weyl import reflect
 
@@ -53,23 +53,10 @@ def positive_real_up_to(g: GCM, height: int) -> set[SignedOffset]:
     at the height bound is complete because the descent path from any
     real root to a simple root is height-monotone.
     """
-    out: set[SignedOffset] = set()
-    frontier: list[SignedOffset] = []
-    for i in range(g.n):
-        e = unit(g.n, i)
-        if ht(e) <= height:
-            out.add(e)
-            frontier.append(e)
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in range(g.n):
-                t = reflect(g, i, c)
-                if is_positive(t) and ht(t) <= height and t not in out:
-                    out.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return out
+    seeds = [unit(g.n, i) for i in range(g.n)] if height >= 1 else []
+    return closure(seeds, lambda c: [
+        t for i in range(g.n) if is_positive(t := reflect(g, i, c)) and ht(t) <= height
+    ])
 
 
 def positive_imaginary_up_to(g: GCM, height: int) -> set[SignedOffset]:

@@ -8,10 +8,11 @@ sign on the root lattice; no truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
 from .cartan import GCM, is_finite_type
-from .errors import NotFiniteType, NotIntegrable
+from .errors import BudgetExceeded, NotFiniteType, NotIntegrable
 from .weights import (
     HighestWeight,
     Offset,
@@ -25,6 +26,10 @@ from .weights import (
     scale,
 )
 from .weyl import GroupElement, enumerate_group
+
+# Largest finite Weyl group that the Atiyah-Bott sum and the denominator
+# check enumerate; E6 (51,840 elements) is over it.
+WEYL_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -50,17 +55,7 @@ class TruncSeries:
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        bound = min(self.bound, other.bound)
-        terms: dict[Offset, int] = {}
-        for src in (self.terms, other.terms):
-            for c, v in src.items():
-                if ht(c) <= bound:
-                    w = terms.get(c, 0) + v
-                    if w:
-                        terms[c] = w
-                    else:
-                        terms.pop(c, None)
-        return TruncSeries(self.rank, bound, terms)
+        return _collect(self.rank, min(self.bound, other.bound), (self, other))
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self + TruncSeries(
@@ -91,10 +86,14 @@ class TruncSeries:
         return sorted(self.terms.items())
 
 
-def series_monomial(c: Offset, bound: int) -> TruncSeries:
-    if ht(c) > bound:
-        return TruncSeries(len(c), bound, {})
-    return TruncSeries(len(c), bound, {tuple(c): 1})
+def _collect(rank: int, bound: int, parts: Iterable[TruncSeries]) -> TruncSeries:
+    """The sum of `parts` at heights <= bound."""
+    terms: dict[Offset, int] = {}
+    for part in parts:
+        for c, v in part.terms.items():
+            if ht(c) <= bound:
+                terms[c] = terms.get(c, 0) + v
+    return TruncSeries(rank, bound, {c: v for c, v in terms.items() if v})
 
 
 def geometric_series(v: SignedOffset, bound: int) -> TruncSeries:
@@ -119,24 +118,28 @@ def geometric_series(v: SignedOffset, bound: int) -> TruncSeries:
 
 
 def weyl_summand(
-    lam: HighestWeight, g: GCM, w: GroupElement, bound: int
+    d: Offset, images: Iterable[SignedOffset], bound: int
 ) -> TruncSeries:
-    """The term w e^lambda / prod_i (1 - e^{-alpha_i}), rebased to e^lambda."""
-    out = series_monomial(w.displacement, bound)
-    for i in range(g.n):
+    """e^{-d} / prod over v in images of (1 - e^{-v}), as offsets from e^lambda.
+
+    The summand of w over a root set R takes d = lambda - w lambda and the
+    images w(beta), beta in R: R = Pi gives the Weyl-group weight sum and
+    R = Phi^+ the Atiyah-Bott sum.
+    """
+    out = TruncSeries(len(d), bound, {tuple(d): 1} if ht(d) <= bound else {})
+    for v in images:
         if not out.terms:
             break
-        out = out * geometric_series(w.simple_images[i], bound)
+        out = out * geometric_series(v, bound)
     return out
 
 
 def wkw_sum(lam: HighestWeight, g: GCM, bound: int) -> TruncSeries:
     """Sum of weyl_summand over W_{I_lambda}, exact at heights <= bound."""
-    ilam = integrability_set(lam)
-    out = TruncSeries(g.n, bound, {})
-    for w in enumerate_group(lam, g, ilam, height=bound):
-        out = out + weyl_summand(lam, g, w, bound)
-    return out
+    group = enumerate_group(lam, g, integrability_set(lam), height=bound)
+    return _collect(g.n, bound, (
+        weyl_summand(w.displacement, w.simple_images, bound) for w in group
+    ))
 
 
 def atiyah_bott_sum(lam: HighestWeight, g: GCM, bound: int) -> TruncSeries:
@@ -149,16 +152,11 @@ def atiyah_bott_sum(lam: HighestWeight, g: GCM, bound: int) -> TruncSeries:
         raise NotFiniteType("character sum requires a finite-type diagram")
     if integrability_set(lam) != frozenset(range(g.n)):
         raise NotIntegrable("requires dominant integral highest weight")
-    elements, pos_roots = finite_weyl_group(lam, g)
-    out = TruncSeries(g.n, bound, {})
-    for w in elements:
-        term = series_monomial(w.displacement, bound)
-        for beta in pos_roots:
-            if not term.terms:
-                break
-            term = term * geometric_series(w.apply(beta), bound)
-        out = out + term
-    return out
+    elements, pos = finite_weyl_group(lam, g)
+    return _collect(g.n, bound, (
+        weyl_summand(w.displacement, (w.apply(beta) for beta in pos), bound)
+        for w in elements
+    ))
 
 
 def finite_weyl_group(
@@ -167,9 +165,15 @@ def finite_weyl_group(
     """All of W for a finite-type g, in length order, and its positive roots.
 
     Every real root is some w(alpha_i), so the positive images w(alpha_i)
-    are exactly Phi^+; they come sorted.
+    are exactly Phi^+; they come sorted.  Raises BudgetExceeded when W has
+    more than WEYL_BUDGET elements.
     """
-    elements = list(enumerate_group(lam, g, range(g.n), height=None, cap=2 ** 16))
+    group = enumerate_group(lam, g, range(g.n), height=None, cap=2 ** 16)
+    elements = list(islice(group, WEYL_BUDGET + 1))
+    if len(elements) > WEYL_BUDGET:
+        raise BudgetExceeded(
+            f"Weyl group has at least {len(elements)} elements; budget {WEYL_BUDGET}"
+        )
     pos = {a for w in elements for a in w.simple_images if is_positive(a)}
     return elements, sorted(pos)
 

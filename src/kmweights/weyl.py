@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cartan import GCM, is_finite_type, subdiagram
+from .cartan import GCM, closure, is_finite_type, subdiagram
 from .errors import CapExceeded, NonIntegralPairing, NotDominantIntegral
 from .weights import (
     HighestWeight,
@@ -160,21 +160,10 @@ def orbit_truncated(
     dominant start.
     """
     nodes = list(nodes)
-    if ht(c) > height:
-        return set()
-    out = {tuple(c)}
-    frontier = [tuple(c)]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for i in nodes:
-                img = reflect_weight(lam, g, i, cur)
-                if img is None or ht(img) > height or img in out:
-                    continue
-                out.add(img)
-                nxt.append(img)
-        frontier = nxt
-    return out
+    return closure([tuple(c)] if ht(c) <= height else [], lambda cur: [
+        img for i in nodes
+        if (img := reflect_weight(lam, g, i, cur)) is not None and ht(img) <= height
+    ])
 
 
 def stabilizer_is_finite(lam: HighestWeight, g: GCM, nodes: Iterable[int]) -> bool:

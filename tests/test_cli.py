@@ -94,6 +94,27 @@ def test_series_ab_inapplicable_exit_3(tmp_path):
     assert code == 3
 
 
+A5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
+      [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]]
+E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+      [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("doc,argv,count", [
+    # |W| * |P| = 720 * 22,228 transported terms, checked before the product.
+    ({"cartan": A5}, ["verify", "--check", "denominator"], "16004160"),
+    # |W(E6)| = 51,840; enumeration stops one element past the budget.
+    ({"cartan": E6, "lambda": ["1", "0", "0", "0", "0", "0"]},
+     ["series", "--formula", "ab", "--height", "2"], "10001"),
+], ids=["A5-denominator", "E6-ab"])
+def test_finite_weyl_work_over_budget_exit_4(tmp_path, doc, argv, count):
+    path = write_problem(tmp_path, doc)
+    code, out, err = invoke([argv[0], "--input", path] + argv[1:])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("budget exceeded: ") and count in err
+
+
 def test_verify_macdonald_pass(tmp_path):
     path = write_problem(tmp_path, {"cartan": [[2, -2], [-2, 2]]})
     code, out, _ = invoke(

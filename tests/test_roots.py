@@ -37,6 +37,8 @@ def test_classify_multiple_of_simple_root():
 
 
 def test_positive_real_a2():
+    assert positive_real_up_to(A2, 0) == set()
+    assert positive_real_up_to(A2, 1) == {(1, 0), (0, 1)}
     assert positive_real_up_to(A2, 5) == {(1, 0), (0, 1), (1, 1)}
 
 

@@ -32,6 +32,14 @@ def test_mul_identity():
     assert (series_from(1, 5, {(0,): 1}) * b).terms == b.terms
 
 
+def test_add_unequal_bounds_truncates_to_the_smaller_and_drops_zeros():
+    a = series_from(2, 2, {(0, 0): 1, (1, 0): 2, (0, 1): 5, (1, 1): 4})
+    b = series_from(2, 4, {(1, 0): -2, (0, 1): 1, (2, 1): 3, (4, 0): 7})
+    for s in (a + b, b + a):
+        assert s.bound == 2
+        assert s.terms == {(0, 0): 1, (0, 1): 6, (1, 1): 4}
+
+
 def test_difference_of_squares():
     one_plus = series_from(1, 2, {(0,): 1, (1,): 1})
     one_minus = series_from(1, 2, {(0,): 1, (1,): -1})
@@ -75,9 +83,8 @@ def test_truncation_contract():
 
 
 def test_weyl_summand_identity_counts_compositions():
-    lam = HighestWeight.of([1, 1])
     e = identity(2)
-    s = weyl_summand(lam, A2, e, 3)
+    s = weyl_summand(e.displacement, e.simple_images, 3)
     assert s.coeff((0, 0)) == 1
     assert all(v == 1 for v in s.terms.values())
     assert set(s.terms) == {c for c in s.terms if ht(c) <= 3}
@@ -89,14 +96,14 @@ def test_weyl_summand_sl2_reflection_term():
     s = next(
         w for w in enumerate_group(lam, A1, [0], height=10) if w.word == (0,)
     )
-    out = weyl_summand(lam, A1, s, 6)
+    out = weyl_summand(s.displacement, s.simple_images, 6)
     assert out.terms == {(4,): -1, (5,): -1, (6,): -1}
 
 
 def test_weyl_summand_leading_sign():
     lam = HighestWeight.of([1, 1])
     for w in enumerate_group(lam, A2, [0, 1], height=20):
-        out = weyl_summand(lam, A2, w, 20)
+        out = weyl_summand(w.displacement, w.simple_images, 20)
         lead = min(out.terms, key=lambda c: (ht(c), c))
         negs = sum(1 for v in w.simple_images if is_negative(v))
         assert out.terms[lead] == (-1) ** negs
@@ -160,7 +167,7 @@ def test_denominator_specialization_finite_type():
         lam = HighestWeight.of([0] * g.n)
         total = TruncSeries(g.n, 8, {})
         for w in enumerate_group(lam, g, range(g.n), height=None):
-            total = total + weyl_summand(lam, g, w, 8)
+            total = total + weyl_summand(w.displacement, w.simple_images, 8)
         assert total.terms == {zero_offset(g.n): 1}
 
 

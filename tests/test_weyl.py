@@ -48,6 +48,8 @@ def test_reflect_weight_nonintegral_raises():
     lam = HighestWeight.of(["-3/2"])
     with pytest.raises(NonIntegralPairing):
         reflect_weight(lam, A1, 0, (0,))
+    with pytest.raises(NonIntegralPairing):
+        orbit_truncated(lam, A1, [0], (0,), 10)
 
 
 def test_reflect_weight_above_lambda_marker():
@@ -108,6 +110,8 @@ def test_enumerate_cap_exceeded():
 def test_orbit_sl2():
     lam = HighestWeight.of([3])
     assert orbit_truncated(lam, A1, [0], (0,), 10) == {(0,), (3,)}
+    assert orbit_truncated(lam, A1, [0], (0,), 2) == {(0,)}
+    assert orbit_truncated(lam, A1, [0], (3,), 2) == set()
 
 
 def test_orbit_zero_weight_fixed():
