@@ -27,9 +27,9 @@ from .weights import (
 )
 from .weyl import GroupElement, enumerate_group
 
-# Largest finite Weyl group that the Atiyah-Bott sum and the denominator
-# check enumerate; E6 (51,840 elements) is over it.
-WEYL_BUDGET = 10_000
+# Largest finite Weyl group that is listed; each element holds about 1.5 KB.
+# E6 (51,840) fits; A8 (362,880) and E7 (2,903,040) do not.
+WEYL_BUDGET = 10 ** 5
 
 
 @dataclass(frozen=True)

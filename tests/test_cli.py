@@ -94,19 +94,31 @@ def test_series_ab_inapplicable_exit_3(tmp_path):
     assert code == 3
 
 
-A5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
-      [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]]
-E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
-      [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+def type_a(n, last=-1):
+    """The Cartan matrix of A_n; last=-2 gives B_n ([[2, -1], [-2, 2]] is B2)."""
+    a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+         for i in range(n)]
+    a[n - 1][n - 2] = last
+    return a
+
+
+E7 = [[2, 0, -1, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0],
+      [0, -1, -1, 2, -1, 0, 0], [0, 0, 0, -1, 2, -1, 0],
+      [0, 0, 0, 0, -1, 2, -1], [0, 0, 0, 0, 0, -1, 2]]
 
 
 @pytest.mark.parametrize("doc,argv,count", [
-    # |W| * |P| = 720 * 22,228 transported terms, checked before the product.
-    ({"cartan": A5}, ["verify", "--check", "denominator"], "16004160"),
-    # |W(E6)| = 51,840; enumeration stops one element past the budget.
-    ({"cartan": E6, "lambda": ["1", "0", "0", "0", "0", "0"]},
-     ["series", "--formula", "ab", "--height", "2"], "10001"),
-], ids=["A5-denominator", "E6-ab"])
+    # |W| times the terms of P passes 10^6 while P is multiplied out.
+    ({"cartan": type_a(5)}, ["verify", "--check", "denominator"],
+     "720 Weyl group elements times 2376 terms of P after 17 of 25 factors"),
+    ({"cartan": type_a(6)}, ["verify", "--check", "denominator"],
+     "5040 Weyl group elements times 272 terms of P after 9 of 36 factors"),
+    ({"cartan": type_a(5, last=-2)}, ["verify", "--check", "denominator"],
+     "3840 Weyl group elements times 378 terms of P after 9 of 45 factors"),
+    # |W(E7)| = 2,903,040; enumeration stops one element past the budget.
+    ({"cartan": E7, "lambda": ["1"] + ["0"] * 6},
+     ["series", "--formula", "ab", "--height", "2"], "100001 elements"),
+], ids=["A5-denominator", "A6-denominator", "B5-denominator", "E7-ab"])
 def test_finite_weyl_work_over_budget_exit_4(tmp_path, doc, argv, count):
     path = write_problem(tmp_path, doc)
     code, out, err = invoke([argv[0], "--input", path] + argv[1:])
