@@ -8,11 +8,12 @@ sign on the root lattice; no truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from math import prod
 from typing import Iterable
 
 from .cartan import GCM, is_finite_type
 from .errors import BudgetExceeded, NotFiniteType, NotIntegrable
+from .roots import positive_real_up_to
 from .weights import (
     HighestWeight,
     Offset,
@@ -66,14 +67,13 @@ class TruncSeries:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         bound = min(self.bound, other.bound)
+        right = sorted((ht(c), c, v) for c, v in other.terms.items())
         terms: dict[Offset, int] = {}
         for c1, v1 in self.terms.items():
-            h1 = ht(c1)
-            if h1 > bound:
-                continue
-            for c2, v2 in other.terms.items():
-                if h1 + ht(c2) > bound:
-                    continue
+            room = bound - ht(c1)
+            for h2, c2, v2 in right:
+                if h2 > room:
+                    break
                 c = add(c1, c2)
                 w = terms.get(c, 0) + v1 * v2
                 if w:
@@ -164,18 +164,16 @@ def finite_weyl_group(
 ) -> tuple[list[GroupElement], list[SignedOffset]]:
     """All of W for a finite-type g, in length order, and its positive roots.
 
-    Every real root is some w(alpha_i), so the positive images w(alpha_i)
-    are exactly Phi^+; they come sorted.  Raises BudgetExceeded when W has
-    more than WEYL_BUDGET elements.
+    Phi^+ comes sorted.  |W| = prod over beta in Phi^+ of (ht beta + 1) / ht beta
+    (Macdonald 1972), so BudgetExceeded is raised with the exact count, before
+    any element is built, when W has more than WEYL_BUDGET elements.
     """
-    group = enumerate_group(lam, g, range(g.n), height=None, cap=2 ** 16)
-    elements = list(islice(group, WEYL_BUDGET + 1))
-    if len(elements) > WEYL_BUDGET:
-        raise BudgetExceeded(
-            f"Weyl group has at least {len(elements)} elements; budget {WEYL_BUDGET}"
-        )
-    pos = {a for w in elements for a in w.simple_images if is_positive(a)}
-    return elements, sorted(pos)
+    # Every coefficient of a positive root of finite type is at most 6 (E8).
+    pos = sorted(positive_real_up_to(g, 6 * g.n))
+    size = prod(ht(a) + 1 for a in pos) // prod(ht(a) for a in pos)
+    if size > WEYL_BUDGET:
+        raise BudgetExceeded(f"Weyl group has {size} elements; budget {WEYL_BUDGET}")
+    return list(enumerate_group(lam, g, range(g.n), height=None, cap=2 ** 16)), pos
 
 
 @dataclass(frozen=True)

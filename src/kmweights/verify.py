@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Any
 
 from .cartan import GCM, is_finite_type
@@ -81,14 +82,21 @@ def verify_denominator_bases(g: GCM) -> Report:
                 f" after {k} of {len(factors)} factors; budget {DENOMINATOR_BUDGET}"
             )
     lhs = laurent_product(g.n, (neg(a) for a in all_roots))
+    # Exponents are keyed by key(c) = sum of c_k base^k, which is linear, so
+    # key(w c) = sum of c_j key(w alpha_j).  Every exponent here is a signed
+    # subset sum of Phi, so |c_k| <= (2 rho)_k <= ht(2 rho), and balanced
+    # digits in base 2 ht(2 rho) + 1 keep all keys apart.
+    base = 2 * sum(map(ht, pos)) + 1
+    powers = [base ** k for k in range(g.n)]
+    diff = {sum(map(mul, c, powers)): v for c, v in lhs.terms.items()}
     # W acts simply transitively on bases, so each base is subtracted once; a
     # repeated w would subtract its term twice and the check itself would FAIL.
-    diff = dict(lhs.terms)
     for w in elements:
+        images = [sum(map(mul, a, powers)) for a in w.simple_images]
         for c, v in p.terms.items():
-            wc = w.apply(c)
-            diff[wc] = diff.get(wc, 0) - v
-    left = sorted((c, v) for c, v in diff.items() if v)
+            k = sum(map(mul, c, images))
+            diff[k] = diff.get(k, 0) - v
+    left = sorted((_balanced_digits(k, base, g.n), v) for k, v in diff.items() if v)
     return Report(
         "denominator",
         passed=not left,
@@ -98,6 +106,16 @@ def verify_denominator_bases(g: GCM) -> Report:
             "difference": [{"exponent": list(c), "coefficient": v} for c, v in left],
         },
     )
+
+
+def _balanced_digits(key: int, base: int, n: int) -> tuple[int, ...]:
+    """The n digits of key in base `base` (odd), each in [-(base-1)/2, (base-1)/2]."""
+    digits = []
+    for _ in range(n):
+        d = (key + base // 2) % base - base // 2
+        digits.append(d)
+        key = (key - d) // base
+    return tuple(digits)
 
 
 def verify_rank2_macdonald(g: GCM, bound: int) -> Report:

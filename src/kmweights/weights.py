@@ -7,6 +7,7 @@ pairings q_i = (h_i, lambda).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -41,7 +42,7 @@ def unit(n: int, i: int) -> SignedOffset:
 
 
 def add(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(c1, c2))
+    return tuple(map(operator.add, c1, c2))
 
 
 def offsets_up_to(

@@ -1,22 +1,32 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmweights.cartan import parse_gcm
+from kmweights.cartan import is_finite_type, parse_gcm
 from kmweights.errors import NotFiniteType, NotIntegrable
 from kmweights.series import (
     TruncSeries,
     atiyah_bott_sum,
+    finite_weyl_group,
     geometric_series,
     laurent_product,
     weyl_summand,
     wkw_sum,
 )
-from kmweights.weights import HighestWeight, ht, is_negative, zero_offset
+from kmweights.weights import (
+    HighestWeight,
+    ht,
+    is_negative,
+    is_positive,
+    zero_offset,
+)
 from kmweights.weyl import enumerate_group, identity, stabilizer_is_finite
 from kmweights.weights import integrability_set
+
+from conftest import CORPUS_MATRICES
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -59,6 +69,44 @@ def test_mul_commutative(t1, t2):
     a = series_from(2, 6, t1)
     b = series_from(2, 6, t2)
     assert (a * b).terms == (b * a).terms
+
+
+def all_pairs_product(a, b):
+    """Reference product: every term pair, then truncation and zero removal."""
+    bound = min(a.bound, b.bound)
+    out = {}
+    for c1, v1 in a.terms.items():
+        for c2, v2 in b.terms.items():
+            c = tuple(x + y for x, y in zip(c1, c2))
+            if ht(c) <= bound:
+                out[c] = out.get(c, 0) + v1 * v2
+    return {c: v for c, v in out.items() if v}
+
+
+@st.composite
+def series_of_unequal_bounds(draw):
+    """Two series; the second has the larger bound and may hold terms above
+    the first one's.  Coefficients +-1 on few offsets make products cancel."""
+    def offsets(h):
+        return st.integers(0, h).flatmap(
+            lambda x: st.tuples(st.just(x), st.integers(0, h - x)))
+
+    low = draw(st.integers(0, 4))
+    high = draw(st.integers(low + 1, 7))
+    coeffs = st.sampled_from([-1, 1])
+    t1 = draw(st.dictionaries(offsets(low), coeffs, max_size=6))
+    t2 = draw(st.dictionaries(offsets(high), coeffs, max_size=8))
+    return series_from(2, low, t1), series_from(2, high, t2)
+
+
+@given(series_of_unequal_bounds())
+@settings(max_examples=150)
+def test_mul_matches_all_pairs_product(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        out = x * y
+        assert out.bound == a.bound
+        assert out.terms == all_pairs_product(x, y)
 
 
 def test_geometric_factor_identity_branch():
@@ -169,6 +217,25 @@ def test_denominator_specialization_finite_type():
         for w in enumerate_group(lam, g, range(g.n), height=None):
             total = total + weyl_summand(w.displacement, w.simple_images, 8)
         assert total.terms == {zero_offset(g.n): 1}
+
+
+FINITE = [
+    pytest.param(parse_gcm(m), id=name)
+    for name, m in CORPUS_MATRICES.items() if is_finite_type(parse_gcm(m))
+] + [
+    pytest.param(parse_gcm([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1],
+                            [0, 0, -1, 2]]), id="A4"),
+    pytest.param(parse_gcm([[2, -1, 0], [-1, 2, -1], [0, -2, 2]]), id="B3"),
+]
+
+
+@pytest.mark.parametrize("g", FINITE)
+def test_finite_weyl_group_roots_and_order(g):
+    elements, pos = finite_weyl_group(HighestWeight.of([0] * g.n), g)
+    images = {a for w in elements for a in w.simple_images if is_positive(a)}
+    assert pos == sorted(images)
+    # The order the budget is checked on is the number of elements listed.
+    assert len(elements) * prod(ht(a) for a in pos) == prod(ht(a) + 1 for a in pos)
 
 
 def test_wkw_coefficients_are_01_under_finite_stabilizer():

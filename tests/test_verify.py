@@ -2,15 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from kmweights import verify
 from kmweights.cartan import parse_gcm
 from kmweights.errors import FiniteType, NotFiniteType, WrongRank
+from kmweights.series import finite_weyl_group, laurent_product
 from kmweights.verify import (
     check_integrability_invariants,
     verify_denominator_bases,
     verify_rank2_macdonald,
     verify_wkw_vs_weights,
 )
-from kmweights.weights import HighestWeight
+from kmweights.weights import HighestWeight, neg
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -37,6 +39,29 @@ def test_denominator_g2():
     assert r.passed
     assert r.details["bases"] == 12
     assert r.details["roots"] == 12
+
+
+B3 = parse_gcm([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
+A4 = parse_gcm([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+
+
+@pytest.mark.parametrize("g", [B3, A4, G2], ids=["B3", "A4", "G2"])
+def test_denominator_repeated_element_leaves_its_image_of_p(g, monkeypatch):
+    # With the longest element w0 listed twice, the difference is -w0(P),
+    # whose exponents have coordinates of both signs up to (2 rho)_k.
+    elements, pos = finite_weyl_group(HighestWeight.of([0] * g.n), g)
+    w0 = elements[-1]
+    monkeypatch.setattr(verify, "finite_weyl_group",
+                        lambda lam, g: (elements + [w0], pos))
+    r = verify_denominator_bases(g)
+    assert not r.passed
+    simple = set(elements[0].simple_images)
+    p = laurent_product(g.n, [neg(a) for a in pos + [neg(a) for a in pos]
+                              if a not in simple])
+    want = sorted((w0.apply(c), -v) for c, v in p.terms.items())
+    assert r.details["difference"] == [
+        {"exponent": list(c), "coefficient": v} for c, v in want
+    ]
 
 
 def test_denominator_rejects_affine():
