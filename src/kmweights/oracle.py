@@ -18,7 +18,7 @@ from math import comb
 
 from .cartan import GCM, symmetrizable
 from .errors import BudgetExceeded
-from .lp import independent_rows
+from .lp import independent_rows, integer_row
 from .modweights import WeightSet
 from .weights import HighestWeight, Offset, offsets_up_to
 
@@ -66,43 +66,49 @@ def words_of_offset(c: Offset) -> list[LoweringWord]:
 
 
 def _apply_e(
-    lam: HighestWeight, g: GCM, i: int, word: LoweringWord
-) -> list[tuple[Fraction, LoweringWord]]:
-    """e_i f_{word} v_lambda as a combination of shorter words.
+    q: list[int], row: list[int], i: int, word: LoweringWord
+) -> list[tuple[int, LoweringWord]]:
+    """e_i f_{word} v_lambda as a combination of shorter words, scaled by d.
 
     [e_i, f_j] = delta_ij h_i, and h_i is scalar on each tail weight:
     (h_i, lambda - sum of the tail's alphas), accumulated right to left.
+    q[j] is d * (h_j, lambda) and row is d times row i of A.
     """
     out = []
-    row = g.a[i]
-    tail_pairing = 0  # (A c)_i for the offset c of word[m + 1:]
+    coeff = q[i]  # d * (h_i, lambda - c) for the offset c of word[m + 1:]
     for m in range(len(word) - 1, -1, -1):
         letter = word[m]
-        if letter == i:
-            coeff = lam.q[i] - tail_pairing
-            if coeff:
-                out.append((coeff, word[:m] + word[m + 1 :]))
-        tail_pairing += row[letter]
+        if letter == i and coeff:
+            out.append((coeff, word[:m] + word[m + 1 :]))
+        coeff -= row[letter]
     return out
 
 
 class GramBuilder:
-    """Caches contravariant-form values for one (lambda, g)."""
+    """Caches contravariant-form values for one (lambda, g), in integers.
+
+    `form(u, v)` is d^k <f_u v_lambda, f_v v_lambda> for words of length k,
+    d the lcm of the denominators of lambda: each recursion step multiplies
+    by one coefficient d * (h_i, lambda - c), an integer since A is
+    integral.  All words of one offset have one length, so a Gram matrix of
+    integer forms is a positive multiple of the rational one, with the same
+    rank and the same independent rows.
+    """
 
     def __init__(self, lam: HighestWeight, g: GCM):
-        self.lam = lam
-        self.g = g
-        self._cache: dict[tuple[LoweringWord, LoweringWord], Fraction] = {}
+        self.scale, self._q = integer_row(lam.q)
+        self._a = [[self.scale * x for x in row] for row in g.a]
+        self._cache: dict[tuple[LoweringWord, LoweringWord], int] = {}
 
-    def form(self, u: LoweringWord, v: LoweringWord) -> Fraction:
+    def form(self, u: LoweringWord, v: LoweringWord) -> int:
         if not u:
-            return Fraction(1) if not v else Fraction(0)
+            return 0 if v else 1
         key = (u, v)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        total = Fraction(0)
-        for coeff, shorter in _apply_e(self.lam, self.g, u[0], v):
+        total = 0
+        for coeff, shorter in _apply_e(self._q, self._a[u[0]], u[0], v):
             total += coeff * self.form(u[1:], shorter)
         self._cache[key] = total
         return total
@@ -114,12 +120,13 @@ def gram_entry(
     """<f_u v_lambda, f_v v_lambda> for words of equal offset."""
     if word_offset(u, g.n) != word_offset(v, g.n):
         raise ValueError("words have different offsets")
-    return GramBuilder(lam, g).form(u, v)
+    builder = GramBuilder(lam, g)
+    return Fraction(builder.form(u, v), builder.scale ** len(u))
 
 
-def _gram(builder: GramBuilder, words: list[LoweringWord]) -> list[list[Fraction]]:
+def _gram(builder: GramBuilder, words: list[LoweringWord]) -> list[list[int]]:
     k = len(words)
-    gram = [[Fraction(0)] * k for _ in range(k)]
+    gram = [[0] * k for _ in range(k)]
     for a in range(k):
         for b in range(a, k):
             val = builder.form(words[a], words[b])

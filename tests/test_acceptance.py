@@ -53,7 +53,7 @@ def test_ac1_three_formulas_agree(g, lam):
 
 @pytest.mark.parametrize("g,lam", CORPUS_CASES)
 def test_ac2_oracle_ground_truth(g, lam):
-    H = 8 if g.n <= 2 else 6
+    H = 8 if g.n <= 2 else 7
     assert (
         oracle_weight_set(lam, g, H).members == wt_simple_slice(lam, g, H).members
     )

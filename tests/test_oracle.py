@@ -66,6 +66,41 @@ def test_gram_symmetry(word):
         assert gram_entry(lam, A2, u, v) == gram_entry(lam, A2, v, u)
 
 
+def _rational_form(lam, g, u, v):
+    # Independent reference: the form recursion in plain Fractions, with no
+    # scaling and no cache.  e_i f_v v_lambda = sum over the letters i of v
+    # of (h_i, lambda - tail offset) times v with that letter removed.
+    if not u:
+        return Fraction(0 if v else 1)
+    i, total, tail_pairing = u[0], Fraction(0), 0
+    for m in range(len(v) - 1, -1, -1):
+        if v[m] == i:
+            shorter = v[:m] + v[m + 1 :]
+            total += (lam.q[i] - tail_pairing) * _rational_form(lam, g, u[1:], shorter)
+        tail_pairing += g.a[i][v[m]]
+    return total
+
+
+@given(small_gcms_and_weights(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_form_matches_rational_recursion(case, data):
+    g, lam = case
+    c = tuple(data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)))
+    words = words_of_offset(c)
+    u = data.draw(st.sampled_from(words))
+    v = data.draw(st.sampled_from(words))
+    assert gram_entry(lam, g, u, v) == _rational_form(lam, g, u, v)
+
+
+def test_integer_form_scale_six_to_the_fourth():
+    # Denominators 2 and 3, so the form is scaled by 6^4 on these words.
+    lam = HighestWeight.of([Fraction(1, 2), Fraction(-1, 3)])
+    words = words_of_offset((2, 2))
+    for u in words:
+        for v in words:
+            assert gram_entry(lam, A2, u, v) == _rational_form(lam, A2, u, v)
+
+
 def test_multiplicity_highest_weight_line():
     assert simple_multiplicity(HighestWeight.of([Fraction(1, 3), 0]), A2, (0, 0)) == 1
 
