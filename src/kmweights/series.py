@@ -3,12 +3,22 @@
 A TruncSeries stores integer coefficients on offsets c (meaning e^{lambda - c})
 of height <= H.  A LaurentElt stores exact finite-support exponents of either
 sign on the root lattice; no truncation.
+
+Products are multiplied out on one additive integer key per exponent,
+key(c) = sum of c_k powers[k], so one dict of keys holds an expansion:
+- truncated, B = bound + 1: key(c) = ht(c) B^n + sum of c_k B^k.  If c >= 0
+  and ht(c) <= bound, each c_k <= bound < B is a digit below the height digit,
+  so keys are unique and ht(c) <= bound is the one comparison key < B^(n+1).
+- signed, |c_k| <= m, base = 2m + 1: key(c) = sum of c_k base^k.  Each c_k is
+  a balanced digit in [-m, m], so keys are unique and |key| < base^n / 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import prod
+from operator import mul
 from typing import Iterable
 
 from .cartan import GCM, is_finite_type
@@ -18,19 +28,70 @@ from .weights import (
     HighestWeight,
     Offset,
     SignedOffset,
-    add,
     ht,
     integrability_set,
     is_negative,
     is_positive,
-    neg,
-    scale,
+    unit,
 )
 from .weyl import GroupElement, enumerate_group
 
 # Largest finite Weyl group that is listed; each element holds about 1.5 KB.
 # E6 (51,840) fits; A8 (362,880) and E7 (2,903,040) do not.
 WEYL_BUDGET = 10 ** 5
+
+Keys = dict[int, int]
+
+
+def encode(c: Iterable[int], powers: list[int]) -> int:
+    return sum(map(mul, c, powers))
+
+
+def decode(key: int, base: int, n: int, shift: int) -> tuple[int, ...]:
+    """The n lowest digits of key in `base`, each in [-shift, base - 1 - shift]."""
+    digits = []
+    for _ in range(n):
+        digits.append((key + shift) % base - shift)
+        key = (key - digits[-1]) // base
+    return tuple(digits)
+
+
+def _keys(terms: dict[tuple[int, ...], int], powers: list[int]) -> Keys:
+    # Offsets over a smaller bound may share keys, all at or over its limit.
+    return {encode(c, powers): v for c, v in terms.items()}
+
+
+def mul_keys(left: Keys, right: Keys, limit: int) -> Keys:
+    """The product of two expansions in keys, kept below `limit`: the right factor
+    is walked in increasing key order, and each row stops at the limit."""
+    ordered = sorted(right.items())
+    out: Keys = {}
+    for k1, v1 in left.items():
+        room = limit - k1
+        for k2, v2 in ordered:
+            if k2 >= room:
+                break
+            k = k1 + k2
+            out[k] = out.get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def truncated_code(rank: int, bound: int) -> tuple[list[int], int]:
+    """powers and limit of the truncated key at `bound`."""
+    b = bound + 1
+    return [b ** rank + b ** k for k in range(rank)], b ** (rank + 1)
+
+
+def _series(rank: int, bound: int, parts: Iterable[Keys]) -> "TruncSeries":
+    """The sum of truncated expansions, decoded at the keys below the limit."""
+    total: Keys = {}
+    for part in parts:
+        for k, v in part.items():
+            total[k] = total.get(k, 0) + v
+    limit = truncated_code(rank, bound)[1]
+    return TruncSeries(rank, bound, {
+        decode(k, bound + 1, rank, 0): v for k, v in total.items() if v and k < limit
+    })
 
 
 @dataclass(frozen=True)
@@ -56,89 +117,70 @@ class TruncSeries:
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return _collect(self.rank, min(self.bound, other.bound), (self, other))
+        bound = min(self.bound, other.bound)
+        powers = truncated_code(self.rank, bound)[0]
+        parts = [_keys(x.terms, powers) for x in (self, other)]
+        return _series(self.rank, bound, parts)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + TruncSeries(
-            other.rank, other.bound, {c: -v for c, v in other.terms.items()}
-        )
+        negated = {c: -v for c, v in other.terms.items()}
+        return self + TruncSeries(other.rank, other.bound, negated)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         bound = min(self.bound, other.bound)
-        right = sorted((ht(c), c, v) for c, v in other.terms.items())
-        terms: dict[Offset, int] = {}
-        for c1, v1 in self.terms.items():
-            room = bound - ht(c1)
-            for h2, c2, v2 in right:
-                if h2 > room:
-                    break
-                c = add(c1, c2)
-                w = terms.get(c, 0) + v1 * v2
-                if w:
-                    terms[c] = w
-                else:
-                    terms.pop(c, None)
-        return TruncSeries(self.rank, bound, terms)
-
-    def sorted_items(self) -> list[tuple[Offset, int]]:
-        return sorted(self.terms.items())
+        powers, limit = truncated_code(self.rank, bound)
+        return _series(self.rank, bound, [
+            mul_keys(_keys(self.terms, powers), _keys(other.terms, powers), limit)
+        ])
 
 
-def _collect(rank: int, bound: int, parts: Iterable[TruncSeries]) -> TruncSeries:
-    """The sum of `parts` at heights <= bound."""
-    terms: dict[Offset, int] = {}
-    for part in parts:
-        for c, v in part.terms.items():
-            if ht(c) <= bound:
-                terms[c] = terms.get(c, 0) + v
-    return TruncSeries(rank, bound, {c: v for c, v in terms.items() if v})
+def _summand_keys(
+    d: Offset, images: list[SignedOffset], roots: list[Offset], bound: int
+) -> Keys:
+    """e^{-d} / prod over beta in roots of (1 - e^{-w beta}), images[j] = w alpha_j.
+
+    key is additive, so key(w beta) = sum of beta_j key(w alpha_j), and a root
+    v has a key of its sign.  Offsets are measured downward from the caller's
+    base: a factor expands to +e^{-k v} (k >= 0) for v > 0 and to -e^{k v}
+    (k >= 1) for v < 0, and -k v is again a positive vector.
+    """
+    powers, limit = truncated_code(len(d), bound)
+    keys = [encode(a, powers) for a in images]
+    out = {encode(d, powers): 1}
+    for beta in roots:
+        step = encode(beta, keys)
+        sign, k, step = (1, 0, step) if step > 0 else (-1, -step, -step)
+        out = mul_keys(out, dict.fromkeys(range(k, limit, step), sign), limit)
+    return out
 
 
 def geometric_series(v: SignedOffset, bound: int) -> TruncSeries:
-    """The highest-weight expansion of (1 - e^{-v})^{-1}, v positive or negative.
-
-    Offsets are measured downward from the caller's base: for v > 0 the
-    terms are +e^{-k v} (k >= 0); for v < 0 they are -e^{k v} (k >= 1),
-    and -k v is again a positive vector.
-    """
-    if is_positive(v):
-        step, sign, start = v, 1, 0
-    elif is_negative(v):
-        step, sign, start = neg(v), -1, 1
-    else:
-        raise ValueError(f"{v} is neither positive nor negative")
-    terms: dict[Offset, int] = {}
-    k = start
-    while ht(scale(k, step)) <= bound:
-        terms[scale(k, step)] = sign
-        k += 1
-    return TruncSeries(len(v), bound, terms)
+    """The highest-weight expansion of (1 - e^{-v})^{-1}, v positive or negative."""
+    return weyl_summand((0,) * len(v), [v], bound)
 
 
-def weyl_summand(
-    d: Offset, images: Iterable[SignedOffset], bound: int
-) -> TruncSeries:
+def weyl_summand(d: Offset, images: Iterable[SignedOffset], bound: int) -> TruncSeries:
     """e^{-d} / prod over v in images of (1 - e^{-v}), as offsets from e^lambda.
 
     The summand of w over a root set R takes d = lambda - w lambda and the
     images w(beta), beta in R: R = Pi gives the Weyl-group weight sum and
     R = Phi^+ the Atiyah-Bott sum.
     """
-    out = TruncSeries(len(d), bound, {tuple(d): 1} if ht(d) <= bound else {})
-    for v in images:
-        if not out.terms:
-            break
-        out = out * geometric_series(v, bound)
-    return out
+    images = list(images)
+    if bad := [v for v in images if not (is_positive(v) or is_negative(v))]:
+        raise ValueError(f"{bad[0]} is neither positive nor negative")
+    roots = [unit(len(images), j) for j in range(len(images))]
+    return _series(len(d), bound, [_summand_keys(d, images, roots, bound)])
 
 
 def wkw_sum(lam: HighestWeight, g: GCM, bound: int) -> TruncSeries:
     """Sum of weyl_summand over W_{I_lambda}, exact at heights <= bound."""
     group = enumerate_group(lam, g, integrability_set(lam), height=bound)
-    return _collect(g.n, bound, (
-        weyl_summand(w.displacement, w.simple_images, bound) for w in group
+    simple = [unit(g.n, i) for i in range(g.n)]
+    return _series(g.n, bound, (
+        _summand_keys(w.displacement, w.simple_images, simple, bound) for w in group
     ))
 
 
@@ -153,9 +195,8 @@ def atiyah_bott_sum(lam: HighestWeight, g: GCM, bound: int) -> TruncSeries:
     if integrability_set(lam) != frozenset(range(g.n)):
         raise NotIntegrable("requires dominant integral highest weight")
     elements, pos = finite_weyl_group(lam, g)
-    return _collect(g.n, bound, (
-        weyl_summand(w.displacement, (w.apply(beta) for beta in pos), bound)
-        for w in elements
+    return _series(g.n, bound, (
+        _summand_keys(w.displacement, w.simple_images, pos, bound) for w in elements
     ))
 
 
@@ -184,25 +225,19 @@ class LaurentElt:
     terms: dict[SignedOffset, int] = field(default_factory=dict)
 
     def __mul__(self, other: "LaurentElt") -> "LaurentElt":
-        terms: dict[SignedOffset, int] = {}
-        for c1, v1 in self.terms.items():
-            for c2, v2 in other.terms.items():
-                c = add(c1, c2)
-                w = terms.get(c, 0) + v1 * v2
-                if w:
-                    terms[c] = w
-                else:
-                    terms.pop(c, None)
-        return LaurentElt(self.rank, terms)
-
-
-def laurent_one(rank: int) -> LaurentElt:
-    return LaurentElt(rank, {(0,) * rank: 1})
+        m = sum(max(map(abs, chain(*x.terms)), default=0) for x in (self, other))
+        powers = [(2 * m + 1) ** k for k in range(self.rank)]
+        keys = mul_keys(_keys(self.terms, powers), _keys(other.terms, powers),
+                        (2 * m + 1) ** self.rank)
+        return LaurentElt(self.rank, {
+            decode(k, 2 * m + 1, self.rank, m): v for k, v in keys.items()
+        })
 
 
 def laurent_product(rank: int, exponents: Iterable[SignedOffset]) -> LaurentElt:
     """Exact expansion of prod (1 - e^{v}) over the given exponents v."""
-    out = laurent_one(rank)
+    one = (0,) * rank
+    out = LaurentElt(rank, {one: 1})
     for v in exponents:
-        out = out * LaurentElt(rank, {(0,) * rank: 1, tuple(v): -1})
+        out = out * LaurentElt(rank, {one: 1, tuple(v): -1} if any(v) else {})
     return out

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Any
 
 from .cartan import GCM, is_finite_type
@@ -19,12 +19,16 @@ from .modweights import wt_simple_hull, wt_simple_orbit, wt_simple_slice
 from .roots import positive_imaginary_up_to
 from .series import (
     TruncSeries,
+    decode,
+    encode,
     finite_weyl_group,
-    laurent_product,
+    mul_keys,
     wkw_sum,
 )
 from .weights import (
     HighestWeight,
+    Offset,
+    cartan_pairing,
     ht,
     integrability_set,
     neg,
@@ -54,7 +58,7 @@ class Report:
 
 def series_json(x: TruncSeries) -> list[dict[str, Any]]:
     """A truncated series as JSON: one offset and coefficient per term, sorted."""
-    return [{"offset": list(c), "coefficient": v} for c, v in x.sorted_items()]
+    return [{"offset": list(c), "coefficient": v} for c, v in sorted(x.terms.items())]
 
 
 def verify_denominator_bases(g: GCM) -> Report:
@@ -73,30 +77,46 @@ def verify_denominator_bases(g: GCM) -> Report:
     all_roots = sorted(pos + [neg(a) for a in pos])
     simple = set(elements[0].simple_images)
     factors = [neg(a) for a in all_roots if a not in simple]
-    p = laurent_product(g.n, [])
+    # Every exponent here is a signed subset sum of Phi, so |c_k| <= (2 rho)_k
+    # <= ht(2 rho), and one balanced key serves P, every w(P) and the left side.
+    base = 2 * sum(map(ht, pos)) + 1
+    powers, limit = [base ** k for k in range(g.n)], base ** g.n
+    p = {0: 1}
     for k, v in enumerate(factors, 1):
-        p = p * laurent_product(g.n, [v])
-        if len(elements) * len(p.terms) > DENOMINATOR_BUDGET:
+        p = mul_keys(p, {0: 1, encode(v, powers): -1}, limit)
+        if len(elements) * len(p) > DENOMINATOR_BUDGET:
             raise BudgetExceeded(
-                f"{len(elements)} Weyl group elements times {len(p.terms)} terms of P"
+                f"{len(elements)} Weyl group elements times {len(p)} terms of P"
                 f" after {k} of {len(factors)} factors; budget {DENOMINATOR_BUDGET}"
             )
-    lhs = laurent_product(g.n, (neg(a) for a in all_roots))
-    # Exponents are keyed by key(c) = sum of c_k base^k, which is linear, so
-    # key(w c) = sum of c_j key(w alpha_j).  Every exponent here is a signed
-    # subset sum of Phi, so |c_k| <= (2 rho)_k <= ht(2 rho), and balanced
-    # digits in base 2 ht(2 rho) + 1 keep all keys apart.
-    base = 2 * sum(map(ht, pos)) + 1
-    powers = [base ** k for k in range(g.n)]
-    diff = {sum(map(mul, c, powers)): v for c, v in lhs.terms.items()}
+    diff = {0: 1}
+    for a in all_roots:
+        diff = mul_keys(diff, {0: 1, -encode(a, powers): -1}, limit)
+    # s_i c = c - (A c)_i alpha_i, so key(w c) = key(w' c) + (A c)_i key(w alpha_i)
+    # for w = w' s_i: one list of keys walks the tree of reduced words and back.
+    terms = [decode(k, base, g.n, base // 2) for k in p]
+    pairings = [[cartan_pairing(g, c, i) for c in terms] for i in range(g.n)]
+    children = defaultdict(list)
+    for w in elements[1:]:
+        children[w.word[:-1]].append(w)
+    keys = list(p)
+
     # W acts simply transitively on bases, so each base is subtracted once; a
     # repeated w would subtract its term twice and the check itself would FAIL.
-    for w in elements:
-        images = [sum(map(mul, a, powers)) for a in w.simple_images]
-        for c, v in p.terms.items():
-            k = sum(map(mul, c, images))
+    def subtract(word: tuple[int, ...]) -> None:
+        nonlocal keys
+        for k, v in zip(keys, p.values()):
             diff[k] = diff.get(k, 0) - v
-    left = sorted((_balanced_digits(k, base, g.n), v) for k, v in diff.items() if v)
+        for w in children[word]:
+            i = w.word[-1]
+            step = encode(w.simple_images[i], powers)
+            keys = [k + a * step for k, a in zip(keys, pairings[i])]
+            subtract(w.word)
+            keys = [k - a * step for k, a in zip(keys, pairings[i])]
+
+    subtract(())
+    del subtract  # a cycle through itself; free P now, not at the next gc
+    left = sorted((decode(k, base, g.n, base // 2), v) for k, v in diff.items() if v)
     return Report(
         "denominator",
         passed=not left,
@@ -106,16 +126,6 @@ def verify_denominator_bases(g: GCM) -> Report:
             "difference": [{"exponent": list(c), "coefficient": v} for c, v in left],
         },
     )
-
-
-def _balanced_digits(key: int, base: int, n: int) -> tuple[int, ...]:
-    """The n digits of key in base `base` (odd), each in [-(base-1)/2, (base-1)/2]."""
-    digits = []
-    for _ in range(n):
-        d = (key + base // 2) % base - base // 2
-        digits.append(d)
-        key = (key - d) // base
-    return tuple(digits)
 
 
 def verify_rank2_macdonald(g: GCM, bound: int) -> Report:
@@ -179,23 +189,16 @@ def check_integrability_invariants(lam: HighestWeight, g: GCM, bound: int) -> Re
     reflection stay under the height bound.
     """
     ws = wt_simple_slice(lam, g, bound)
-    preserving = []
-    for i in range(g.n):
-        ok = True
-        for c in ws.members:
-            try:
-                img = reflect_weight(lam, g, i, c)
-            except NonIntegralPairing:
-                ok = False
-                break
-            if img is None:
-                ok = False  # reflection escapes mu <= lambda
-                break
-            if ht(img) <= bound and img not in ws.members:
-                ok = False
-                break
-        if ok:
-            preserving.append(i)
+
+    def inside(i: int, c: Offset) -> bool:
+        try:
+            img = reflect_weight(lam, g, i, c)
+        except NonIntegralPairing:
+            return False
+        # None marks a reflection that escapes mu <= lambda.
+        return img is not None and (ht(img) > bound or img in ws.members)
+
+    preserving = [i for i in range(g.n) if all(inside(i, c) for c in ws.members)]
     ilam = sorted(integrability_set(lam))
     return Report(
         "integrability",

@@ -71,10 +71,6 @@ def neg(c: Sequence[int]) -> tuple[int, ...]:
     return tuple(-x for x in c)
 
 
-def scale(k: int, c: Sequence[int]) -> tuple[int, ...]:
-    return tuple(k * x for x in c)
-
-
 def is_positive(c: Sequence[int]) -> bool:
     """All entries >= 0 and not all zero."""
     return all(x >= 0 for x in c) and any(x != 0 for x in c)
@@ -105,8 +101,9 @@ def in_parabolic_dominant(
     lam: HighestWeight, g: GCM, c: Sequence[int], nodes: Iterable[int]
 ) -> bool:
     """mu = lambda - c lies in the parabolic dominant chamber for `nodes`."""
+    # (h_i, mu) = q_i - (A c)_i is an integer exactly when q_i is.
     for i in nodes:
-        p = pairing(lam, g, c, i)
-        if p.denominator != 1 or p < 0:
+        q = lam.q[i]
+        if q.denominator != 1 or q.numerator < cartan_pairing(g, c, i):
             return False
     return True

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cartan import GCM, closure, is_finite_type, subdiagram
@@ -36,14 +37,7 @@ class GroupElement:
 
     def apply(self, v: Sequence[int]) -> SignedOffset:
         """Image of a root-lattice vector under w, by linearity."""
-        n = len(self.simple_images)
-        out = [0] * n
-        for j, vj in enumerate(v):
-            if vj:
-                img = self.simple_images[j]
-                for k in range(n):
-                    out[k] += vj * img[k]
-        return tuple(out)
+        return tuple(sum(map(mul, v, col)) for col in zip(*self.simple_images))
 
 
 def identity(n: int) -> GroupElement:
@@ -65,11 +59,12 @@ def reflect_weight(
     Raises NonIntegralPairing when (h_i, mu) is not an integer, i.e. the
     reflection leaves lambda - Z Delta.
     """
-    p = pairing(lam, g, c, i)
-    if p.denominator != 1:
+    q = lam.q[i]
+    if q.denominator != 1:
+        p = pairing(lam, g, c, i)
         raise NonIntegralPairing(f"(h_{i}, mu) = {p} not an integer")
     out = list(c)
-    out[i] += int(p)
+    out[i] += q.numerator - cartan_pairing(g, c, i)
     if out[i] < 0:
         return None
     return tuple(out)

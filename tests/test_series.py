@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kmweights.cartan import is_finite_type, parse_gcm
 from kmweights.errors import NotFiniteType, NotIntegrable
 from kmweights.series import (
+    LaurentElt,
     TruncSeries,
     atiyah_bott_sum,
     finite_weyl_group,
@@ -21,12 +22,13 @@ from kmweights.weights import (
     ht,
     is_negative,
     is_positive,
+    neg,
     zero_offset,
 )
 from kmweights.weyl import enumerate_group, identity, stabilizer_is_finite
 from kmweights.weights import integrability_set
 
-from conftest import CORPUS_MATRICES
+from conftest import CORPUS_MATRICES, small_gcms_and_weights
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -271,3 +273,134 @@ def test_geometric_series_rejects_zero_and_mixed_vectors(v):
 def test_geometric_series_both_signs():
     assert geometric_series((1, 2), 7).terms == {(0, 0): 1, (1, 2): 1, (2, 4): 1}
     assert geometric_series((-1, 0), 2).terms == {(1, 0): -1, (2, 0): -1}
+
+
+# The integer keys of the series layer against products written on tuples.
+
+def tuple_geometric(v, bound):
+    """(1 - e^{-v})^{-1} on offset tuples: +e^{-kv} (k >= 0) or -e^{kv} (k >= 1)."""
+    sign, step, k = (1, v, 0) if is_positive(v) else (-1, neg(v), 1)
+    out = {}
+    while k * ht(step) <= bound:
+        out[tuple(k * x for x in step)] = sign
+        k += 1
+    return out
+
+
+def tuple_weyl_sum(elements, roots_of, bound):
+    """Sum over w of e^{-d} / prod (1 - e^{-v}), every term pair multiplied out."""
+    total = {}
+    for w in elements:
+        n, d = len(w.displacement), w.displacement
+        s = series_from(n, bound, {d: 1} if ht(d) <= bound else {})
+        for v in roots_of(w):
+            factor = series_from(n, bound, tuple_geometric(v, bound))
+            s = series_from(n, bound, all_pairs_product(s, factor))
+        for c, x in s.terms.items():
+            total[c] = total.get(c, 0) + x
+    return {c: x for c, x in total.items() if x}
+
+
+@given(small_gcms_and_weights(), st.integers(0, 7))
+@settings(max_examples=60, deadline=None)
+def test_wkw_sum_matches_tuple_reference(case, bound):
+    g, lam = case
+    elements = list(enumerate_group(lam, g, integrability_set(lam), height=bound))
+    want = tuple_weyl_sum(elements, lambda w: w.simple_images, bound)
+    assert wkw_sum(lam, g, bound).terms == want
+
+
+FINITE_AB = {
+    "A1": [[2]], "A2": [[2, -1], [-1, 2]], "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "B2": [[2, -1], [-2, 2]], "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "G2": [[2, -1], [-3, 2]],
+}
+
+
+@st.composite
+def finite_dominant_cases(draw):
+    g = parse_gcm(FINITE_AB[draw(st.sampled_from(sorted(FINITE_AB)))])
+    q = draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    lam = HighestWeight.of(q)
+    return g, lam, draw(st.integers(0, 8 if g.n <= 3 else 5))
+
+
+@given(finite_dominant_cases())
+@settings(max_examples=40, deadline=None)
+def test_atiyah_bott_sum_matches_tuple_reference(case):
+    g, lam, bound = case
+    elements, pos = finite_weyl_group(lam, g)
+    want = tuple_weyl_sum(elements, lambda w: [w.apply(b) for b in pos], bound)
+    assert atiyah_bott_sum(lam, g, bound).terms == want
+
+
+def test_truncation_keeps_height_bound_and_drops_bound_plus_one():
+    # Rank 1 at bound 0: only the constant term survives.
+    assert geometric_series((1,), 0).terms == {(0,): 1}
+    assert geometric_series((-1,), 0).terms == {}
+    assert wkw_sum(HighestWeight.of([0]), A1, 0).terms == {(0,): 1}
+    assert weyl_summand((0,), [(1,), (-1,)], 0).terms == {}
+    # A term at height exactly `bound` is kept, one at bound + 1 dropped.
+    a = series_from(1, 3, {(1,): 1})
+    assert (a * series_from(1, 3, {(2,): 1, (3,): 1})).terms == {(3,): 1}
+    assert weyl_summand((2,), [(1,)], 2).terms == {(2,): 1}
+    assert weyl_summand((3,), [(1,)], 2).terms == {}
+    assert weyl_summand((3,), [], 2).terms == {}
+    # Coordinates equal to the bound sit next to a height over it.
+    low = series_from(2, 2, {(0, 0): 1})
+    high = series_from(2, 3, {(2, 0): 1, (0, 2): -1, (1, 2): 1, (0, 3): 1})
+    assert (low * high).terms == {(2, 0): 1, (0, 2): -1}
+    assert (low + high).terms == {(0, 0): 1, (2, 0): 1, (0, 2): -1}
+
+
+def all_pairs_laurent(x, y):
+    out = {}
+    for c1, v1 in x.items():
+        for c2, v2 in y.items():
+            c = tuple(a + b for a, b in zip(c1, c2))
+            out[c] = out.get(c, 0) + v1 * v2
+    return {c: v for c, v in out.items() if v}
+
+
+def laurent_reference(rank, exponents):
+    out = {(0,) * rank: 1}
+    for v in exponents:
+        factor = {(0,) * rank: 1}
+        factor[tuple(v)] = factor.get(tuple(v), 0) - 1
+        out = all_pairs_laurent(out, factor)
+    return out
+
+
+@st.composite
+def signed_exponent_lists(draw):
+    """A rank and two lists of exponents with entries of both signs and zeros."""
+    rank = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).map(tuple)
+    return rank, draw(st.lists(vec, max_size=6)), draw(st.lists(vec, max_size=3))
+
+
+@given(signed_exponent_lists())
+@settings(max_examples=150, deadline=None)
+def test_laurent_product_matches_all_pairs_reference(case):
+    rank, first, second = case
+    x = laurent_reference(rank, first)
+    assert laurent_product(rank, first).terms == x
+    y = laurent_reference(rank, second)
+    assert (LaurentElt(rank, x) * LaurentElt(rank, y)).terms == all_pairs_laurent(x, y)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "G2"])
+def test_laurent_product_at_the_balanced_digit_edge(name):
+    # prod over Phi^+ of (1 - e^{-a}) reaches -2 rho, so |c_k| = (2 rho)_k
+    # is the largest digit of every coordinate.
+    g = parse_gcm(FINITE_AB[name])
+    _, pos = finite_weyl_group(HighestWeight.of([0] * g.n), g)
+    exponents = [neg(a) for a in pos]
+    out = laurent_product(g.n, exponents)
+    two_rho = tuple(map(sum, zip(*pos)))
+    assert out.terms[neg(two_rho)] == (-1) ** len(pos)
+    assert out.terms == laurent_reference(g.n, exponents)
+    # A product of two elements reaches the sum of their largest digits.
+    square = LaurentElt(g.n, {neg(two_rho): 1}) * LaurentElt(g.n, {neg(two_rho): -1})
+    assert square.terms == {tuple(-2 * x for x in two_rho): -1}

@@ -1,11 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmweights.cartan import parse_gcm
 from kmweights.errors import CapExceeded, NonIntegralPairing, NotDominantIntegral
 from kmweights.roots import positive_real_up_to
-from kmweights.weights import HighestWeight, ht, is_negative
+from kmweights.weights import (
+    HighestWeight,
+    ht,
+    in_parabolic_dominant,
+    is_negative,
+    pairing,
+)
 from kmweights.weyl import (
     enumerate_group,
     identity,
@@ -14,6 +22,8 @@ from kmweights.weyl import (
     reflect_weight,
     stabilizer_is_finite,
 )
+
+from conftest import small_gcms_and_weights
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -160,3 +170,24 @@ def test_stabilizer_finite_cases():
 def test_enumerate_group_rejects_non_dominant_nodes(q):
     with pytest.raises(NotDominantIntegral):
         list(enumerate_group(HighestWeight.of([q]), A1, [0], height=None, cap=2))
+
+
+@given(small_gcms_and_weights(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_pairings_match_fraction_definition(case, data):
+    # Both functions compare integers; the reference works on (h_i, mu) itself.
+    g, lam = case
+    c = data.draw(st.lists(st.integers(0, 4), min_size=g.n, max_size=g.n).map(tuple))
+    nodes = data.draw(st.sets(st.integers(0, g.n - 1)))
+    p = [pairing(lam, g, c, i) for i in range(g.n)]
+    dominant = all(p[i].denominator == 1 and p[i] >= 0 for i in nodes)
+    assert in_parabolic_dominant(lam, g, c, nodes) == dominant
+    for i in range(g.n):
+        if p[i].denominator != 1:
+            with pytest.raises(NonIntegralPairing) as err:
+                reflect_weight(lam, g, i, c)
+            assert str(err.value) == f"(h_{i}, mu) = {p[i]} not an integer"
+            continue
+        img = list(c)
+        img[i] += int(p[i])
+        assert reflect_weight(lam, g, i, c) == (tuple(img) if img[i] >= 0 else None)
