@@ -62,8 +62,11 @@ def load_problem(path: str) -> tuple[GCM, Optional[HighestWeight]]:
     if "lambda" in doc:
         if not isinstance(doc["lambda"], list):
             raise InputError("lambda must be a list of rationals")
+        # A JSON float is already rounded to binary, so only exact spellings pass.
+        if bad := [v for v in doc["lambda"] if type(v) not in (str, int)]:
+            raise InputError(f"lambda entries must be strings or integers, got {bad[0]!r}")
         try:
-            vals = [Fraction(str(v)) for v in doc["lambda"]]
+            vals = [Fraction(v) for v in doc["lambda"]]
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational in lambda: {exc}") from None
         if len(vals) != g.n:

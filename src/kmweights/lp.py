@@ -215,12 +215,3 @@ class Certificates:
             if sum(row[j] * v for j, v in x_b.items()) != scale * bi:
                 return None
         return x_b
-
-    def basis_solution(
-        self, basis: Sequence[int], inverse: Sequence[Vector], scale: int, b: Vector
-    ) -> Optional[list[Fraction]]:
-        """x >= 0 with A x = b from x_B = B^-1 b, or None if this basis fails."""
-        x_b = self._scaled_solution(basis, inverse, scale, b)
-        if x_b is None:
-            return None
-        return [Fraction(x_b.get(j, 0), scale) for j in range(self.n)]

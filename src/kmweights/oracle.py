@@ -13,7 +13,6 @@ is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .cartan import GCM, symmetrizable
@@ -25,13 +24,6 @@ from .weights import HighestWeight, Offset, offsets_up_to
 LoweringWord = tuple[int, ...]
 
 WORD_BUDGET = 20_000
-
-
-def word_offset(word: LoweringWord, n: int) -> Offset:
-    out = [0] * n
-    for i in word:
-        out[i] += 1
-    return tuple(out)
 
 
 def word_count(c: Offset) -> int:
@@ -112,16 +104,6 @@ class GramBuilder:
             total += coeff * self.form(u[1:], shorter)
         self._cache[key] = total
         return total
-
-
-def gram_entry(
-    lam: HighestWeight, g: GCM, u: LoweringWord, v: LoweringWord
-) -> Fraction:
-    """<f_u v_lambda, f_v v_lambda> for words of equal offset."""
-    if word_offset(u, g.n) != word_offset(v, g.n):
-        raise ValueError("words have different offsets")
-    builder = GramBuilder(lam, g)
-    return Fraction(builder.form(u, v), builder.scale ** len(u))
 
 
 def _gram(builder: GramBuilder, words: list[LoweringWord]) -> list[list[int]]:

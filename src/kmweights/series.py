@@ -108,12 +108,6 @@ class TruncSeries:
             assert len(c) == self.rank and min(c) >= 0, f"bad offset {c}"
             assert ht(c) <= self.bound, f"offset {c} beyond bound {self.bound}"
 
-    def coeff(self, c: Offset) -> int:
-        return self.terms.get(tuple(c), 0)
-
-    def support(self) -> set[Offset]:
-        return set(self.terms)
-
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
@@ -154,11 +148,6 @@ def _summand_keys(
         sign, k, step = (1, 0, step) if step > 0 else (-1, -step, -step)
         out = mul_keys(out, dict.fromkeys(range(k, limit, step), sign), limit)
     return out
-
-
-def geometric_series(v: SignedOffset, bound: int) -> TruncSeries:
-    """The highest-weight expansion of (1 - e^{-v})^{-1}, v positive or negative."""
-    return weyl_summand((0,) * len(v), [v], bound)
 
 
 def weyl_summand(d: Offset, images: Iterable[SignedOffset], bound: int) -> TruncSeries:
@@ -232,12 +221,3 @@ class LaurentElt:
         return LaurentElt(self.rank, {
             decode(k, 2 * m + 1, self.rank, m): v for k, v in keys.items()
         })
-
-
-def laurent_product(rank: int, exponents: Iterable[SignedOffset]) -> LaurentElt:
-    """Exact expansion of prod (1 - e^{v}) over the given exponents v."""
-    one = (0,) * rank
-    out = LaurentElt(rank, {one: 1})
-    for v in exponents:
-        out = out * LaurentElt(rank, {one: 1, tuple(v): -1} if any(v) else {})
-    return out

@@ -93,29 +93,27 @@ def verify_denominator_bases(g: GCM) -> Report:
     for a in all_roots:
         diff = mul_keys(diff, {0: 1, -encode(a, powers): -1}, limit)
     # s_i c = c - (A c)_i alpha_i, so key(w c) = key(w' c) + (A c)_i key(w alpha_i)
-    # for w = w' s_i: one list of keys walks the tree of reduced words and back.
+    # for w = w' s_i: one list of keys walks the tree of reduced words and back,
+    # a step forward (+1) on the way down and back (-1) after the subtree.
     terms = [decode(k, base, g.n, base // 2) for k in p]
     pairings = [[cartan_pairing(g, c, i) for c in terms] for i in range(g.n)]
     children = defaultdict(list)
     for w in elements[1:]:
         children[w.word[:-1]].append(w)
-    keys = list(p)
-
-    # W acts simply transitively on bases, so each base is subtracted once; a
-    # repeated w would subtract its term twice and the check itself would FAIL.
-    def subtract(word: tuple[int, ...]) -> None:
-        nonlocal keys
-        for k, v in zip(keys, p.values()):
-            diff[k] = diff.get(k, 0) - v
-        for w in children[word]:
+    keys, todo = list(p), [(elements[0], 1)]
+    while todo:
+        w, sign = todo.pop()
+        if w.word:
             i = w.word[-1]
-            step = encode(w.simple_images[i], powers)
+            step = sign * encode(w.simple_images[i], powers)
             keys = [k + a * step for k, a in zip(keys, pairings[i])]
-            subtract(w.word)
-            keys = [k - a * step for k, a in zip(keys, pairings[i])]
-
-    subtract(())
-    del subtract  # a cycle through itself; free P now, not at the next gc
+        if sign > 0:
+            # W acts simply transitively on bases, so each base is subtracted
+            # once; a repeated w would subtract its term twice and FAIL.
+            for k, v in zip(keys, p.values()):
+                diff[k] = diff.get(k, 0) - v
+            todo.append((w, -1))
+            todo.extend((c, 1) for c in children[w.word])
     left = sorted((decode(k, base, g.n, base // 2), v) for k, v in diff.items() if v)
     return Report(
         "denominator",

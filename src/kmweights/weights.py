@@ -54,17 +54,17 @@ def offsets_up_to(
     as the full enumeration.  The order puts every c - e_i before c.
     """
     nodes = None if support is None else set(support)
-    free = [nodes is None or i in nodes for i in range(n)]
+    return _tails([nodes is None or i in nodes for i in range(n)], 0, bound)
 
-    def tails(i: int, room: int) -> Iterator[Offset]:
-        if i == n:
-            yield ()
-            return
-        for first in range(room + 1 if free[i] else 1):
-            for rest in tails(i + 1, room - first):
-                yield (first,) + rest
 
-    return tails(0, bound)
+def _tails(free: list[bool], i: int, room: int) -> Iterator[Offset]:
+    """Coordinates i onward of height <= room, zero where not `free`, in lex order."""
+    if i == len(free):
+        yield ()
+        return
+    for first in range(room + 1 if free[i] else 1):
+        for rest in _tails(free, i + 1, room - first):
+            yield (first,) + rest
 
 
 def neg(c: Sequence[int]) -> tuple[int, ...]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cartan import GCM, closure, is_finite_type, subdiagram
@@ -34,10 +33,6 @@ class GroupElement:
     @property
     def length(self) -> int:
         return len(self.word)
-
-    def apply(self, v: Sequence[int]) -> SignedOffset:
-        """Image of a root-lattice vector under w, by linearity."""
-        return tuple(sum(map(mul, v, col)) for col in zip(*self.simple_images))
 
 
 def identity(n: int) -> GroupElement:

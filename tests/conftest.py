@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from kmweights import HighestWeight, parse_gcm
+from kmweights.series import decode, encode, mul_keys
 
 # The standing corpus: every GCM gets >= 3 highest weights mixing integral,
 # non-integral, and zero pairings.
@@ -57,6 +58,31 @@ def small_gcms_and_weights(draw):
                 a[j][i] = draw(st.sampled_from([-1, -2, -3]))
     q = draw(st.lists(st.sampled_from(PAIRINGS), min_size=n, max_size=n))
     return parse_gcm(a), HighestWeight.of(q)
+
+
+def apply(w, v):
+    """w v for a root-lattice vector v, by linearity in the images w(alpha_i)."""
+    return tuple(sum(x * y for x, y in zip(v, col)) for col in zip(*w.simple_images))
+
+
+def keyed_laurent(rank, exponents):
+    """prod over v of (1 - e^{v}), multiplied out by `mul_keys` on the balanced
+    key of the denominator check and decoded with `decode`.
+
+    The digit bound m = max_k sum over v of |v_k| bounds every coordinate of
+    every partial product, and a product over Phi^+ of (1 - e^{-a}) reaches it.
+    """
+    exponents = [tuple(v) for v in exponents]
+    m = max((sum(map(abs, col)) for col in zip(*exponents)), default=0)
+    base = 2 * m + 1
+    powers = [base ** k for k in range(rank)]
+    out = {0: 1}
+    for v in exponents:
+        factor = {0: 1}
+        key = encode(v, powers)
+        factor[key] = factor.get(key, 0) - 1
+        out = mul_keys(out, factor, base ** rank)
+    return {decode(k, base, rank, m): v for k, v in out.items()}
 
 
 CORPUS_CASES = [

@@ -250,12 +250,13 @@ def test_weights_oracle_advisory_flag(tmp_path):
     [
         ({"cartan": [[2, -1.7], [-1, 2]]}, "integers"),
         ({"cartan": [[2, -1], [-1, 2]], "lambda": "12"}, "lambda"),
+        ({"cartan": [[2, -1], [-1, 2]], "lambda": [0.50000000000000000001, "1"]}, "lambda"),
         ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"], "labels": "xy"}, "labels"),
         ({"cartan": [], "lambda": []}, "non-empty"),
         ({"cartan": [[2, False], [False, 2]]}, "integers"),
         ({"cartan": [2, 2]}, "row"),
     ],
-    ids=["float-entry", "lambda-string", "labels-string", "empty", "bool-entry", "flat"],
+    ids=["float-entry", "lambda-string", "lambda-float", "labels-string", "empty", "bool-entry", "flat"],
 )
 def test_input_not_coerced_exit_2(tmp_path, doc, message):
     path = write_problem(tmp_path, doc)

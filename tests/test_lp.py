@@ -23,6 +23,14 @@ def _dot(u, v):
     return sum(p * q for p, q in zip(u, v))
 
 
+def basis_solution(certs, proof, b):
+    """x >= 0 with A x = b from the proof's basis, or None if the basis fails."""
+    x_b = certs._scaled_solution(proof.basis, proof.inverse, proof.scale, b)
+    if x_b is None:
+        return None
+    return [Fraction(x_b.get(j, 0), proof.scale) for j in range(certs.n)]
+
+
 def _assert_farkas(a, b, y):
     assert len(y) == len(a)
     for j in range(len(a[0])):
@@ -81,7 +89,7 @@ def test_every_solve_leaves_a_checked_proof(system):
         _assert_farkas(a, b, proof.farkas)
     else:
         assert proof.farkas is None
-        y = certs.basis_solution(proof.basis, proof.inverse, proof.scale, b)
+        y = basis_solution(certs, proof, b)
         assert y is not None and min(y, default=0) >= 0
         assert [_dot(row, y) for row in a] == b
     certs.learn(b, proof)
@@ -99,13 +107,13 @@ def test_basis_reuse_inside_and_outside_its_cone():
     # A positive combination of the basic columns lies in the basis cone.
     basic = [j for j in proof.basis if j < len(a[0])]
     inside = [sum((k + 1) * a[r][j] for k, j in enumerate(basic)) for r in range(2)]
-    x = certs.basis_solution(proof.basis, proof.inverse, proof.scale, inside)
+    x = basis_solution(certs, proof, inside)
     assert x is not None and min(x) >= 0
     assert [_dot(row, x) for row in a] == inside
     assert certs.decide(inside) is True
     # -inside needs negative coefficients on the same columns.
     outside = [-v for v in inside]
-    assert certs.basis_solution(proof.basis, proof.inverse, proof.scale, outside) is None
+    assert basis_solution(certs, proof, outside) is None
 
 
 def test_proofs_that_do_not_check_are_dropped():

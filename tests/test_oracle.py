@@ -11,13 +11,11 @@ from kmweights.errors import BudgetExceeded
 from kmweights.lp import independent_rows
 from kmweights.oracle import (
     GramBuilder,
-    gram_entry,
     oracle_weight_set,
     oracle_is_advisory,
     simple_multiplicity,
     word_bases,
     word_count,
-    word_offset,
     words_of_offset,
 )
 from kmweights.modweights import wt_simple_slice
@@ -30,6 +28,12 @@ from conftest import small_gcms_and_weights
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
 AFF = parse_gcm([[2, -2], [-2, 2]])
+
+
+def gram_entry(lam, g, u, v):
+    """<f_u v_lambda, f_v v_lambda>: the integer form over its scale d^k."""
+    builder = GramBuilder(lam, g)
+    return Fraction(builder.form(u, v), builder.scale ** len(u))
 
 
 def test_norm_of_highest_weight_vector():
@@ -48,11 +52,6 @@ def test_sl2_norm_formula(n, k):
     for j in range(k):
         expect *= Fraction(n) - j
     assert gram_entry(lam, A1, (0,) * k, (0,) * k) == expect
-
-
-def test_gram_offset_mismatch():
-    with pytest.raises(ValueError):
-        gram_entry(HighestWeight.of([1, 1]), A2, (0,), (1,))
 
 
 @given(st.lists(st.sampled_from([0, 1]), min_size=0, max_size=5))
@@ -258,7 +257,7 @@ def test_oracle_budget_checked_before_gram_entries(monkeypatch):
     form = GramBuilder.form
 
     def spy(self, u, v):
-        asked.append(word_offset(u, 2))
+        asked.append((u.count(0), u.count(1)))
         return form(self, u, v)
 
     monkeypatch.setattr(GramBuilder, "form", spy)

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -5,14 +6,16 @@ import pytest
 from kmweights import verify
 from kmweights.cartan import parse_gcm
 from kmweights.errors import FiniteType, NotFiniteType, WrongRank
-from kmweights.series import finite_weyl_group, laurent_product
+from kmweights.series import finite_weyl_group
 from kmweights.verify import (
     check_integrability_invariants,
     verify_denominator_bases,
     verify_rank2_macdonald,
     verify_wkw_vs_weights,
 )
-from kmweights.weights import HighestWeight, neg
+from kmweights.weights import HighestWeight, neg, offsets_up_to
+
+from conftest import apply, keyed_laurent
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -56,12 +59,28 @@ def test_denominator_repeated_element_leaves_its_image_of_p(g, monkeypatch):
     r = verify_denominator_bases(g)
     assert not r.passed
     simple = set(elements[0].simple_images)
-    p = laurent_product(g.n, [neg(a) for a in pos + [neg(a) for a in pos]
-                              if a not in simple])
-    want = sorted((w0.apply(c), -v) for c, v in p.terms.items())
+    p = keyed_laurent(g.n, [neg(a) for a in pos + [neg(a) for a in pos]
+                            if a not in simple])
+    want = sorted((apply(w0, c), -v) for c, v in p.items())
     assert r.details["difference"] == [
         {"exponent": list(c), "coefficient": v} for c, v in want
     ]
+
+
+def test_offsets_and_denominator_check_leave_no_reference_cycles():
+    # Each call frees what it built by reference counting alone, so nothing
+    # waits for the cyclic collector (the denominator check on A4 holds P
+    # and its keys, several hundred KiB).
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            list(offsets_up_to(3, 4))
+            list(offsets_up_to(3, 4, support=[0, 2]))
+        assert verify_denominator_bases(A4).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_denominator_rejects_affine():

@@ -23,7 +23,7 @@ from kmweights.weyl import (
     stabilizer_is_finite,
 )
 
-from conftest import small_gcms_and_weights
+from conftest import apply, small_gcms_and_weights
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -107,7 +107,7 @@ def test_enumerate_length_equals_inversions_rank2():
         lam = HighestWeight.of([1, 1])
         pos = positive_real_up_to(g, 12)
         for w in enumerate_group(lam, g, [0, 1], height=None):
-            inv = sum(1 for b in pos if is_negative(w.apply(b)))
+            inv = sum(1 for b in pos if is_negative(apply(w, b)))
             assert inv == len(w.word)
 
 
