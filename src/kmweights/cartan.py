@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
-from .errors import InvalidGCM
+from .errors import InputError
 from .lp import feasible
 
 T = TypeVar("T", bound=Hashable)
@@ -35,17 +35,17 @@ class GCM:
         labels = self.labels if self.labels else tuple(str(i) for i in range(n))
         object.__setattr__(self, "labels", labels)
         if len(labels) != n:
-            raise InvalidGCM(f"expected {n} labels, got {len(labels)}")
+            raise InputError(f"expected {n} labels, got {len(labels)}")
         for i, row in enumerate(self.a):
             if len(row) != n:
-                raise InvalidGCM(f"row {i} has length {len(row)}, expected {n}")
+                raise InputError(f"row {i} has length {len(row)}, expected {n}")
             if row[i] != 2:
-                raise InvalidGCM(f"a[{i}][{i}] = {row[i]} != 2")
+                raise InputError(f"a[{i}][{i}] = {row[i]} != 2")
             for j, v in enumerate(row):
                 if i != j and v > 0:
-                    raise InvalidGCM(f"a[{i}][{j}] = {v} > 0")
+                    raise InputError(f"a[{i}][{j}] = {v} > 0")
                 if i != j and (v == 0) != (self.a[j][i] == 0):
-                    raise InvalidGCM(
+                    raise InputError(
                         f"a[{i}][{j}] = {v} but a[{j}][{i}] = {self.a[j][i]}"
                     )
 
@@ -64,18 +64,18 @@ def parse_gcm(matrix: Sequence[Sequence[int]], labels: Optional[Sequence[str]] =
     -1.7 or a label string split into characters is an error.
     """
     if not isinstance(matrix, (list, tuple)) or not matrix:
-        raise InvalidGCM("matrix must be a non-empty list of rows")
+        raise InputError("matrix must be a non-empty list of rows")
     for row in matrix:
         if not isinstance(row, (list, tuple)):
-            raise InvalidGCM(f"matrix row {row!r} is not a list")
+            raise InputError(f"matrix row {row!r} is not a list")
         for v in row:
             if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidGCM(f"matrix entries must be integers, got {v!r}")
+                raise InputError(f"matrix entries must be integers, got {v!r}")
     if labels is not None and (
         not isinstance(labels, (list, tuple))
         or not all(isinstance(x, str) for x in labels)
     ):
-        raise InvalidGCM(f"labels must be a list of strings, got {labels!r}")
+        raise InputError(f"labels must be a list of strings, got {labels!r}")
     return GCM(tuple(tuple(row) for row in matrix), tuple(labels) if labels else ())
 
 
@@ -112,7 +112,7 @@ def subdiagram(g: GCM, nodes: Sequence[int]) -> GCM:
     """Principal submatrix on the given nodes, labels inherited."""
     nodes = list(nodes)
     if not all(0 <= i < g.n for i in nodes):
-        raise InvalidGCM(f"nodes {nodes} not a subset of 0..{g.n - 1}")
+        raise InputError(f"nodes {nodes} not a subset of 0..{g.n - 1}")
     a = tuple(tuple(g.a[i][j] for j in nodes) for i in nodes)
     return GCM(a, tuple(g.labels[i] for i in nodes))
 

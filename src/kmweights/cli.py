@@ -18,32 +18,12 @@ from typing import Any, Optional, Sequence
 
 from . import modweights, oracle, roots, series, verify
 from .cartan import GCM, classify, parse_gcm
-from .errors import (
-    BudgetExceeded,
-    CapExceeded,
-    FiniteType,
-    InfiniteStabilizer,
-    InvalidGCM,
-    KMError,
-    NotDominantIntegral,
-    NotFiniteType,
-    NotIntegrable,
-    WrongRank,
-)
+from .errors import InputError, KMError
 from .weights import HighestWeight, pairing
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-EXIT_INAPPLICABLE = 3
-EXIT_BUDGET = 4
-
-_INAPPLICABLE = (InfiniteStabilizer, NotFiniteType, FiniteType, WrongRank,
-                 NotDominantIntegral, NotIntegrable)
-
-
-class InputError(Exception):
-    pass
 
 
 def load_problem(path: str) -> tuple[GCM, Optional[HighestWeight]]:
@@ -54,10 +34,7 @@ def load_problem(path: str) -> tuple[GCM, Optional[HighestWeight]]:
         raise InputError(f"cannot read input document: {exc}") from None
     if not isinstance(doc, dict) or "cartan" not in doc:
         raise InputError("input must be a JSON object with a 'cartan' matrix")
-    try:
-        g = parse_gcm(doc["cartan"], doc.get("labels"))
-    except InvalidGCM as exc:
-        raise InputError(str(exc)) from None
+    g = parse_gcm(doc["cartan"], doc.get("labels"))
     lam = None
     if "lambda" in doc:
         if not isinstance(doc["lambda"], list):
@@ -251,18 +228,9 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
 
     try:
         return _dispatch(args, stdout)
-    except InputError as exc:
-        print(f"input error: {exc}", file=stderr)
-        return EXIT_INPUT
-    except _INAPPLICABLE as exc:
-        print(f"method inapplicable: {exc}", file=stderr)
-        return EXIT_INAPPLICABLE
-    except (CapExceeded, BudgetExceeded) as exc:
-        print(f"budget exceeded: {exc}", file=stderr)
-        return EXIT_BUDGET
     except KMError as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_INPUT
+        print(f"{exc.kind}: {exc}", file=stderr)
+        return exc.exit_code
 
 
 def _dispatch(args, stdout) -> int:
@@ -286,6 +254,8 @@ def _dispatch(args, stdout) -> int:
 
     if args.command == "weights":
         lam = _need_lambda(lam)
+        if args.format == "svg":
+            _default_projection(g.n)  # refuse an undrawable rank before any work
         model = None
         if args.method == "hull" or args.format == "svg":
             model = modweights.hull_model(lam, g, args.height, args.depth)

@@ -1,45 +1,36 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with its CLI exit code."""
 
 
 class KMError(Exception):
-    """Base class for all domain errors."""
+    """Domain error base: the CLI prints `kind: message` and exits `exit_code`."""
+
+    exit_code = 2
+    kind = "error"
 
 
-class InvalidGCM(KMError):
-    """Input matrix violates the generalized Cartan matrix axioms."""
+class InputError(KMError):
+    """Malformed input: an unreadable document or a matrix that is not a GCM."""
+
+    kind = "input error"
 
 
 class NonIntegralPairing(KMError):
     """A reflection was requested at a node with non-integral pairing."""
 
 
-class CapExceeded(KMError):
-    """Group enumeration hit its word-length cap with live frontier."""
+class Inapplicable(KMError):
+    """A formula's hypothesis fails: diagram type, rank or integrality of lambda."""
+
+    exit_code = 3
+    kind = "method inapplicable"
 
 
-class InfiniteStabilizer(KMError):
+class InfiniteStabilizer(Inapplicable):
     """The orbit formula's finite-stabilizer hypothesis fails."""
 
 
-class NotFiniteType(KMError):
-    """Operation requires every diagram component to be of finite type."""
-
-
-class NotIntegrable(KMError):
-    """Operation requires a dominant integral highest weight."""
-
-
-class NotDominantIntegral(KMError):
-    """Highest weight is not dominant integral on the requested nodes."""
-
-
 class BudgetExceeded(KMError):
-    """Work is over a size budget: oracle words, Weyl group or denominator terms."""
+    """Work is over a size budget: oracle words, Weyl group, denominator terms."""
 
-
-class WrongRank(KMError):
-    """Operation requires a diagram of a specific rank."""
-
-
-class FiniteType(KMError):
-    """Operation requires an infinite-type diagram."""
+    exit_code = 4
+    kind = "budget exceeded"

@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .cartan import GCM, closure, components
-from .errors import InfiniteStabilizer, NotDominantIntegral
+from .errors import Inapplicable, InfiniteStabilizer
 from .lp import Certificates, Proof, feasible
 from .roots import positive_imaginary_up_to, positive_real_up_to
 from .weights import (
@@ -94,7 +94,7 @@ def wt_integrable(
     for i in nodes:
         qi = lam.q[i]
         if qi.denominator != 1 or qi < 0:
-            raise NotDominantIntegral(f"(h_{i}, lambda) = {qi}")
+            raise Inapplicable(f"(h_{i}, lambda) = {qi}")
     members: set[Offset] = set()
     for c in offsets_up_to(g.n, bound, nodes):
         if not in_parabolic_dominant(lam, g, c, nodes):
@@ -222,7 +222,7 @@ def wt_parabolic_verma(
 
     Slice construction with J in place of I_lambda; J must be contained in
     the integrability set, and `wt_integrable` at b = 0 raises
-    NotDominantIntegral otherwise.
+    Inapplicable otherwise.
     """
     nodes = sorted(nodes)
     return WeightSet(bound, frozenset(_slice_union(lam, g, nodes, bound)), "pverma")

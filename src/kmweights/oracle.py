@@ -117,18 +117,16 @@ def _gram(builder: GramBuilder, words: list[LoweringWord]) -> list[list[int]]:
     return gram
 
 
-def simple_multiplicity(
-    lam: HighestWeight, g: GCM, c: Offset, budget: int = WORD_BUDGET
-) -> int:
+def simple_multiplicity(lam: HighestWeight, g: GCM, c: Offset) -> int:
     """dim L(lambda)_{lambda - c}: Gram rank on all words of offset c."""
     count = word_count(c)
-    if count > budget:
-        raise BudgetExceeded(f"{count} words at offset {c} exceeds {budget}")
+    if count > WORD_BUDGET:
+        raise BudgetExceeded(f"{count} words at offset {c} exceeds {WORD_BUDGET}")
     return len(independent_rows(_gram(GramBuilder(lam, g), words_of_offset(c))))
 
 
 def word_bases(
-    lam: HighestWeight, g: GCM, bound: int, budget: int = WORD_BUDGET
+    lam: HighestWeight, g: GCM, bound: int
 ) -> dict[Offset, list[LoweringWord]]:
     """A word basis B(c) of L(lambda)_{lambda - c} for each offset c up to bound.
 
@@ -137,7 +135,7 @@ def word_bases(
     B(c - e_i), and B(c) keeps those whose Gram rows are independent of
     the rows before them.  One GramBuilder serves every offset, so form
     values on shorter words are shared.  The candidate count is checked
-    against `budget` before any Gram entry of c is built.
+    against WORD_BUDGET before any Gram entry of c is built.
     """
     builder = GramBuilder(lam, g)
     bases: dict[Offset, list[LoweringWord]] = {}
@@ -151,9 +149,9 @@ def word_bases(
             if c[i]
             for w in bases[c[:i] + (c[i] - 1,) + c[i + 1 :]]
         ]
-        if len(candidates) > budget:
+        if len(candidates) > WORD_BUDGET:
             raise BudgetExceeded(
-                f"{len(candidates)} candidate words at offset {c} exceeds {budget}"
+                f"{len(candidates)} candidate words at offset {c} exceeds {WORD_BUDGET}"
             )
         # Rows independent of the earlier rows of a symmetric matrix span
         # its row space, so the principal submatrix on them is nonsingular:
@@ -163,9 +161,7 @@ def word_bases(
     return bases
 
 
-def oracle_weight_set(
-    lam: HighestWeight, g: GCM, bound: int, budget: int = WORD_BUDGET
-) -> WeightSet:
+def oracle_weight_set(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
     """Support of the multiplicity function up to the height bound.
 
     c is a member exactly when its recursive word basis B(c) from
@@ -173,7 +169,7 @@ def oracle_weight_set(
     non-symmetrizable input the construction still runs on the Chevalley
     relations alone; results are then advisory.
     """
-    bases = word_bases(lam, g, bound, budget)
+    bases = word_bases(lam, g, bound)
     return WeightSet(bound, frozenset(c for c, basis in bases.items() if basis), "oracle")
 
 

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Iterable
 
 from .cartan import GCM, is_finite_type
-from .errors import BudgetExceeded, NotFiniteType, NotIntegrable
+from .errors import BudgetExceeded, Inapplicable
 from .roots import positive_real_up_to
 from .weights import (
     HighestWeight,
@@ -34,11 +34,7 @@ from .weights import (
     is_positive,
     unit,
 )
-from .weyl import GroupElement, enumerate_group
-
-# Largest finite Weyl group that is listed; each element holds about 1.5 KB.
-# E6 (51,840) fits; A8 (362,880) and E7 (2,903,040) do not.
-WEYL_BUDGET = 10 ** 5
+from .weyl import WEYL_BUDGET, GroupElement, enumerate_group
 
 Keys = dict[int, int]
 
@@ -180,9 +176,9 @@ def atiyah_bott_sum(lam: HighestWeight, g: GCM, bound: int) -> TruncSeries:
     positive root (all root multiplicities are 1 in finite type).
     """
     if not is_finite_type(g):
-        raise NotFiniteType("character sum requires a finite-type diagram")
+        raise Inapplicable("character sum requires a finite-type diagram")
     if integrability_set(lam) != frozenset(range(g.n)):
-        raise NotIntegrable("requires dominant integral highest weight")
+        raise Inapplicable("requires dominant integral highest weight")
     elements, pos = finite_weyl_group(lam, g)
     return _series(g.n, bound, (
         _summand_keys(w.displacement, w.simple_images, pos, bound) for w in elements

@@ -7,14 +7,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .cartan import GCM, is_finite_type
-from .errors import (
-    BudgetExceeded,
-    FiniteType,
-    InfiniteStabilizer,
-    NonIntegralPairing,
-    NotFiniteType,
-    WrongRank,
-)
+from .errors import BudgetExceeded, Inapplicable, InfiniteStabilizer, NonIntegralPairing
 from .modweights import wt_simple_hull, wt_simple_orbit, wt_simple_slice
 from .roots import positive_imaginary_up_to
 from .series import (
@@ -72,7 +65,7 @@ def verify_denominator_bases(g: GCM) -> Report:
     terms of the partial product is over DENOMINATOR_BUDGET.
     """
     if not is_finite_type(g):
-        raise NotFiniteType("denominator identity requires finite type")
+        raise Inapplicable("denominator identity requires finite type")
     elements, pos = finite_weyl_group(HighestWeight.of([0] * g.n), g)
     all_roots = sorted(pos + [neg(a) for a in pos])
     simple = set(elements[0].simple_images)
@@ -133,9 +126,9 @@ def verify_rank2_macdonald(g: GCM, bound: int) -> Report:
     group, truncated; RHS: 1 plus the indicator of positive imaginary roots.
     """
     if g.n != 2:
-        raise WrongRank(f"rank-2 identity, got rank {g.n}")
+        raise Inapplicable(f"rank-2 identity, got rank {g.n}")
     if is_finite_type(g):
-        raise FiniteType("identity requires an infinite-type diagram")
+        raise Inapplicable("identity requires an infinite-type diagram")
     lam0 = HighestWeight.of([0, 0])
     lhs = wkw_sum(lam0, g, bound)
     terms = dict.fromkeys(positive_imaginary_up_to(g, bound), 1)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cartan import GCM, closure, is_finite_type, subdiagram
-from .errors import CapExceeded, NonIntegralPairing, NotDominantIntegral
+from .errors import BudgetExceeded, Inapplicable, NonIntegralPairing
 from .weights import (
     HighestWeight,
     Offset,
@@ -20,6 +20,10 @@ from .weights import (
     unit,
     zero_offset,
 )
+
+# Most Weyl group elements one enumeration lists; each holds about 1.5 KB.
+# E6 (51,840) fits; A8 (362,880) and E7 (2,903,040) do not.
+WEYL_BUDGET = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ def _extend(lam: HighestWeight, g: GCM, w: GroupElement, i: int) -> GroupElement
     )
     qi = lam.q[i]
     if qi.denominator != 1 or qi < 0:
-        raise NotDominantIntegral(f"(h_{i}, lambda) = {qi}: cannot extend by s_{i}")
+        raise Inapplicable(f"(h_{i}, lambda) = {qi}: cannot extend by s_{i}")
     # qi >= 0 and w alpha_i > 0, so the displacement height cannot fall.
     d = add(w.displacement, tuple(int(qi) * x for x in img_i))
     return GroupElement(w.word + (i,), new_images, d)
@@ -102,8 +106,9 @@ def enumerate_group(
     Yields every element whose minimal summand height is <= `height`
     (every element of length <= cap when height is None).  Elements are
     produced in length order; dedup key is (simple_images, displacement).
-    Raises CapExceeded if the cap is hit while some frontier element is
-    still inside the height bound.
+    Raises BudgetExceeded if the cap is hit while some frontier element is
+    still inside the height bound, or once more than WEYL_BUDGET elements
+    are listed.
     """
     nodes = sorted(nodes)
     if cap is None:
@@ -122,7 +127,7 @@ def enumerate_group(
         if frontier[0].length >= cap:
             if height is None:
                 return
-            raise CapExceeded(
+            raise BudgetExceeded(
                 f"frontier alive at word length {cap}; height bound {height}"
             )
         nxt = []
@@ -135,6 +140,9 @@ def enumerate_group(
                         seen.add(key)
                         nxt.append(child)
         frontier = nxt
+        if len(seen) > WEYL_BUDGET:
+            raise BudgetExceeded(f"{len(seen)} Weyl group elements by word length "
+                                 f"{frontier[0].length}; budget {WEYL_BUDGET}")
 
 
 def orbit_truncated(

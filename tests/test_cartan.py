@@ -10,7 +10,7 @@ from kmweights.cartan import (
     subdiagram,
     symmetrizable,
 )
-from kmweights.errors import InvalidGCM
+from kmweights.errors import InputError
 
 FIG_LEFT = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 FIG_RIGHT = [[2, -2, -1], [-2, 2, 0], [-1, 0, 2]]
@@ -27,17 +27,17 @@ def test_parse_smallest():
 
 
 def test_parse_rejects_asymmetric_vanishing():
-    with pytest.raises(InvalidGCM, match=r"a\[1\]\[0\]"):
+    with pytest.raises(InputError, match=r"a\[1\]\[0\]"):
         parse_gcm([[2, -1], [0, 2]])
 
 
 def test_parse_rejects_bad_diagonal():
-    with pytest.raises(InvalidGCM):
+    with pytest.raises(InputError, match=r"^a\[0\]\[0\] = 1 != 2$"):
         parse_gcm([[1]])
 
 
 def test_parse_rejects_positive_offdiagonal():
-    with pytest.raises(InvalidGCM):
+    with pytest.raises(InputError, match=r"^a\[0\]\[1\] = 1 > 0$"):
         parse_gcm([[2, 1], [1, 2]])
 
 

@@ -3,7 +3,16 @@ import json
 
 import pytest
 
+from kmweights import cli, modweights
 from kmweights.cli import run
+from kmweights.errors import (
+    BudgetExceeded,
+    Inapplicable,
+    InfiniteStabilizer,
+    InputError,
+    KMError,
+    NonIntegralPairing,
+)
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -291,8 +300,6 @@ def test_help_exits_0_on_the_given_stdout(argv, usage):
 
 
 def test_svg_hull_model_built_once(tmp_path, monkeypatch):
-    from kmweights import modweights
-
     calls = []
     build = modweights.hull_generators
 
@@ -309,3 +316,34 @@ def test_svg_hull_model_built_once(tmp_path, monkeypatch):
         )
         assert code == 0 and out.startswith("<svg")
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("error,code,prefix", [
+    (KMError, 2, "error"),
+    (InputError, 2, "input error"),
+    (NonIntegralPairing, 2, "error"),
+    (Inapplicable, 3, "method inapplicable"),
+    (InfiniteStabilizer, 3, "method inapplicable"),
+    (BudgetExceeded, 4, "budget exceeded"),
+])
+def test_each_error_type_sets_exit_code_and_prefix(monkeypatch, error, code, prefix):
+    def fail(args, stdout):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "_dispatch", fail)
+    assert invoke(["classify", "--input", "unread.json"]) == (
+        code, "", f"{prefix}: the message\n"
+    )
+
+
+def test_svg_rank_checked_before_the_hull_is_built(tmp_path, monkeypatch):
+    def spy(*args):
+        raise AssertionError("hull model built for an undrawable rank")
+
+    monkeypatch.setattr(modweights, "hull_model", spy)
+    a3_1 = [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]
+    path = write_problem(tmp_path, {"cartan": a3_1, "lambda": ["1"] * 4})
+    code, out, err = invoke(
+        ["weights", "--input", path, "--method", "hull", "--height", "8", "--format", "svg"]
+    )
+    assert (code, out, err) == (2, "", "input error: no default projection for rank 4\n")

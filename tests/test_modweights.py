@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from kmweights.cartan import parse_gcm
-from kmweights.errors import InfiniteStabilizer, NotDominantIntegral
+from kmweights.errors import Inapplicable, InfiniteStabilizer
 from kmweights.modweights import (
     hull_contains,
     hull_generators,
@@ -43,7 +43,7 @@ def test_integrable_affine_trivial_excludes_delta():
 
 
 def test_integrable_rejects_nonintegral():
-    with pytest.raises(NotDominantIntegral):
+    with pytest.raises(Inapplicable, match=r"^\(h_0, lambda\) = -3/2$"):
         wt_integrable(HighestWeight.of([Fraction(-3, 2)]), A1, [0], 4)
 
 
@@ -210,7 +210,7 @@ def test_hull_model_complete_only_when_w_j_exhausted(q, nodes, depth, complete):
 @pytest.mark.parametrize("bound", [0, 4])
 def test_parabolic_rejects_nodes_outside_integrability_set(bound):
     lam = HighestWeight.of([1, Fraction(-1, 2)])
-    with pytest.raises(NotDominantIntegral, match=r"^\(h_1, lambda\) = -1/2$"):
+    with pytest.raises(Inapplicable, match=r"^\(h_1, lambda\) = -1/2$"):
         wt_parabolic_verma(lam, A2, [0, 1], bound)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmweights import oracle
 from kmweights.cartan import parse_gcm
 from kmweights.errors import BudgetExceeded
 from kmweights.lp import independent_rows
@@ -114,16 +115,18 @@ def test_multiplicity_adjoint_zero_weight():
     assert simple_multiplicity(HighestWeight.of([1, 1]), A2, (1, 1)) == 2
 
 
-def test_multiplicity_budget():
-    with pytest.raises(BudgetExceeded):
-        simple_multiplicity(HighestWeight.of([1, 1]), A2, (3, 3), budget=10)
+def test_multiplicity_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 10)
+    with pytest.raises(BudgetExceeded, match=r"^20 words at offset \(3, 3\) exceeds 10$"):
+        simple_multiplicity(HighestWeight.of([1, 1]), A2, (3, 3))
 
 
-def test_budget_checked_before_words_are_built():
+def test_budget_checked_before_words_are_built(monkeypatch):
     # Offset (6, 6) has 924 words; building all 12! orderings first
     # would exhaust memory.
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 100)
     with pytest.raises(BudgetExceeded, match="924 words"):
-        simple_multiplicity(HighestWeight.of([1, 1]), A2, (6, 6), budget=100)
+        simple_multiplicity(HighestWeight.of([1, 1]), A2, (6, 6))
 
 
 @pytest.mark.parametrize("c", [(), (0,), (0, 0), (2,), (2, 1), (1, 0, 2), (2, 2, 1), (3, 3)])
@@ -219,10 +222,11 @@ def test_independent_rows_are_first_spanning_rows():
     assert independent_rows([[f(0), f(1)], [f(1), f(0)]]) == [0, 1]
 
 
-def test_word_bases_adjoint_a2():
+def test_word_bases_adjoint_a2(monkeypatch):
     # The budget bounds candidates, not words: offset (2, 1) has 3 words
     # but only the 2 candidates built on B(1, 1).
-    bases = word_bases(HighestWeight.of([1, 1]), A2, 4, budget=2)
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 2)
+    bases = word_bases(HighestWeight.of([1, 1]), A2, 4)
     assert bases[(0, 0)] == [()]
     assert bases[(1, 1)] == [(0, 1), (1, 0)]
     assert len(bases[(2, 2)]) == 1 and bases[(3, 0)] == []
@@ -261,6 +265,7 @@ def test_oracle_budget_checked_before_gram_entries(monkeypatch):
         return form(self, u, v)
 
     monkeypatch.setattr(GramBuilder, "form", spy)
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 1)
     with pytest.raises(BudgetExceeded, match=r"2 candidate words at offset \(1, 1\)"):
-        oracle_weight_set(HighestWeight.of([1, 1]), A2, 4, budget=1)
+        oracle_weight_set(HighestWeight.of([1, 1]), A2, 4)
     assert (1, 0) in asked and (1, 1) not in asked

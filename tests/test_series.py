@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmweights.cartan import is_finite_type, parse_gcm
-from kmweights.errors import NotFiniteType, NotIntegrable
+from kmweights.errors import Inapplicable
 from kmweights.series import (
     LaurentElt,
     TruncSeries,
@@ -200,12 +200,12 @@ def test_atiyah_bott_trivial_module():
 
 
 def test_atiyah_bott_rejects_affine():
-    with pytest.raises(NotFiniteType):
+    with pytest.raises(Inapplicable, match="requires a finite-type diagram"):
         atiyah_bott_sum(HighestWeight.of([1, 0]), AFF, 4)
 
 
 def test_atiyah_bott_rejects_nonintegrable():
-    with pytest.raises(NotIntegrable):
+    with pytest.raises(Inapplicable, match="requires dominant integral highest weight"):
         atiyah_bott_sum(HighestWeight.of([1, -1]), A2, 4)
 
 

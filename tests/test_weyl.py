@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmweights.cartan import parse_gcm
-from kmweights.errors import CapExceeded, NonIntegralPairing, NotDominantIntegral
+from kmweights.errors import BudgetExceeded, Inapplicable, NonIntegralPairing
 from kmweights.roots import positive_real_up_to
 from kmweights.weights import (
     HighestWeight,
@@ -113,8 +113,20 @@ def test_enumerate_length_equals_inversions_rank2():
 
 def test_enumerate_cap_exceeded():
     lam = HighestWeight.of([0, 0])
-    with pytest.raises(CapExceeded):
+    with pytest.raises(
+        BudgetExceeded, match="^frontier alive at word length 3; height bound 100$"
+    ):
         list(enumerate_group(lam, AFF, [0, 1], height=100, cap=3))
+
+
+def test_enumerate_over_weyl_budget():
+    # This hyperbolic W has 42,554 elements of length <= 14 and 164,478 of
+    # length <= 16; the budget is checked after each breadth-first level.
+    g = parse_gcm([[2, -1, -1], [-3, 2, -3], [-3, -3, 2]])
+    with pytest.raises(BudgetExceeded, match=(
+        "^164478 Weyl group elements by word length 16; budget 100000$"
+    )):
+        list(enumerate_group(HighestWeight.of([1, 1, 1]), g, range(3), cap=16))
 
 
 def test_orbit_sl2():
@@ -168,7 +180,7 @@ def test_stabilizer_finite_cases():
 
 @pytest.mark.parametrize("q", [-1, Fraction(1, 2)])
 def test_enumerate_group_rejects_non_dominant_nodes(q):
-    with pytest.raises(NotDominantIntegral):
+    with pytest.raises(Inapplicable, match=f"= {q}: cannot extend by s_0$"):
         list(enumerate_group(HighestWeight.of([q]), A1, [0], height=None, cap=2))
 
 
