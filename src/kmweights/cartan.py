@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
@@ -28,14 +28,16 @@ class GCM:
     """
 
     a: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] = field(default=())
+    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         n = len(self.a)
-        labels = self.labels if self.labels else tuple(str(i) for i in range(n))
-        object.__setattr__(self, "labels", labels)
-        if len(labels) != n:
-            raise InputError(f"expected {n} labels, got {len(labels)}")
+        if self.labels is None:
+            object.__setattr__(self, "labels", tuple(str(i) for i in range(n)))
+        if len(self.labels) != n:
+            raise InputError(f"expected {n} labels, got {len(self.labels)}")
+        if len(set(self.labels)) != n:
+            raise InputError("labels must be distinct")
         for i, row in enumerate(self.a):
             if len(row) != n:
                 raise InputError(f"row {i} has length {len(row)}, expected {n}")
@@ -76,7 +78,8 @@ def parse_gcm(matrix: Sequence[Sequence[int]], labels: Optional[Sequence[str]] =
         or not all(isinstance(x, str) for x in labels)
     ):
         raise InputError(f"labels must be a list of strings, got {labels!r}")
-    return GCM(tuple(tuple(row) for row in matrix), tuple(labels) if labels else ())
+    return GCM(tuple(tuple(row) for row in matrix),
+               None if labels is None else tuple(labels))
 
 
 def components(g: GCM, nodes: Optional[Iterable[int]] = None) -> list[tuple[int, ...]]:

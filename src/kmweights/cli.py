@@ -70,9 +70,9 @@ def _weight_set_json(
             for c in ws.sorted_members()
         ],
     }
-    if depth is not None:
-        out["depth"] = depth
     if ws.method == "hull":
+        if depth is not None:
+            out["depth"] = depth
         out["complete"] = ws.complete
     if ws.method == "oracle":
         out["advisory"] = oracle.oracle_is_advisory(g)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .cartan import GCM, closure, components
 from .errors import Inapplicable, InfiniteStabilizer
@@ -110,18 +110,6 @@ def _shifted(lam: HighestWeight, g: GCM, b: Offset) -> HighestWeight:
     return HighestWeight(tuple(pairing(lam, g, b, i) for i in range(g.n)))
 
 
-def _slice_union(
-    lam: HighestWeight, g: GCM, nodes: Sequence[int], bound: int
-) -> set[Offset]:
-    """Union over b supported off `nodes` of b + wt_integrable(lambda - b)."""
-    members: set[Offset] = set()
-    for b in offsets_up_to(g.n, bound, set(range(g.n)) - set(nodes)):
-        inner = wt_integrable(_shifted(lam, g, b), g, nodes, bound - ht(b))
-        for c in inner.members:
-            members.add(add(b, c))
-    return members
-
-
 def wt_simple_slice(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
     """Integrable Slice Decomposition: wt L(lambda) = wt M(lambda, I_lambda)."""
     pverma = wt_parabolic_verma(lam, g, integrability_set(lam), bound)
@@ -220,12 +208,17 @@ def wt_parabolic_verma(
 ) -> WeightSet:
     """Weights of the parabolic Verma module M(lambda, J), J = nodes.
 
-    Slice construction with J in place of I_lambda; J must be contained in
-    the integrability set, and `wt_integrable` at b = 0 raises
-    Inapplicable otherwise.
+    Slice construction with J in place of I_lambda: the union over b
+    supported off J of b + wt_integrable(lambda - b).  J must be contained
+    in the integrability set; `wt_integrable` at b = 0 raises Inapplicable
+    otherwise.
     """
     nodes = sorted(nodes)
-    return WeightSet(bound, frozenset(_slice_union(lam, g, nodes, bound)), "pverma")
+    members: set[Offset] = set()
+    for b in offsets_up_to(g.n, bound, set(range(g.n)) - set(nodes)):
+        inner = wt_integrable(_shifted(lam, g, b), g, nodes, bound - ht(b))
+        members.update(add(b, c) for c in inner.members)
+    return WeightSet(bound, frozenset(members), "pverma")
 
 
 def wt_parabolic_verma_induced(

@@ -101,21 +101,20 @@ def enumerate_group(
     height: Optional[int] = None,
     cap: Optional[int] = None,
 ) -> Iterator[GroupElement]:
-    """Breadth-first stream of W_J, J = nodes, deduplicated.
+    """Breadth-first stream of W_J, J = nodes, each element built once.
 
     Yields every element whose minimal summand height is <= `height`
-    (every element of length <= cap when height is None).  Elements are
-    produced in length order; dedup key is (simple_images, displacement).
-    Raises BudgetExceeded if the cap is hit while some frontier element is
-    still inside the height bound, or once more than WEYL_BUDGET elements
-    are listed.
+    (every element of length <= cap when height is None), in length order.
+    w != e is built only from its parent w s_d, d its largest descent in J
+    (w alpha_d < 0), so w.word[:-1] is the parent's word.  Raises
+    BudgetExceeded if the cap is hit while some frontier element is still
+    inside the height bound, or once element WEYL_BUDGET + 1 is built.
     """
     nodes = sorted(nodes)
     if cap is None:
         cap = (10 * height + 64) if height is not None else 64
-    e = identity(g.n)
-    seen = {(e.simple_images, e.displacement)}
-    frontier = [e]
+    frontier = [identity(g.n)]
+    built = 1
     while frontier:
         live = False
         for w in frontier:
@@ -135,14 +134,15 @@ def enumerate_group(
             for i in nodes:
                 if is_positive(w.simple_images[i]):
                     child = _extend(lam, g, w, i)
-                    key = (child.simple_images, child.displacement)
-                    if key not in seen:
-                        seen.add(key)
+                    if all(j <= i or is_positive(child.simple_images[j]) for j in nodes):
                         nxt.append(child)
+                        built += 1
+                        if built > WEYL_BUDGET:
+                            raise BudgetExceeded(
+                                f"{built} Weyl group elements by word length "
+                                f"{child.length}; budget {WEYL_BUDGET}"
+                            )
         frontier = nxt
-        if len(seen) > WEYL_BUDGET:
-            raise BudgetExceeded(f"{len(seen)} Weyl group elements by word length "
-                                 f"{frontier[0].length}; budget {WEYL_BUDGET}")
 
 
 def orbit_truncated(

@@ -233,8 +233,11 @@ def test_weights_hull_reports_completeness(tmp_path):
     code, out, _ = invoke(["weights", "--input", path, "--method", "hull", "--height", "4"])
     assert code == 0
     assert json.loads(out)["complete"] is True
-    code, out, _ = invoke(["weights", "--input", path, "--method", "slice", "--height", "4"])
-    assert "complete" not in json.loads(out)
+    code, out, _ = invoke(
+        ["weights", "--input", path, "--method", "slice", "--height", "4", "--depth", "3"]
+    )
+    assert code == 0
+    assert not {"complete", "depth"} & set(json.loads(out))
 
 
 def test_weights_oracle_advisory_flag(tmp_path):
@@ -264,8 +267,11 @@ def test_weights_oracle_advisory_flag(tmp_path):
         ({"cartan": [], "lambda": []}, "non-empty"),
         ({"cartan": [[2, False], [False, 2]]}, "integers"),
         ({"cartan": [2, 2]}, "row"),
+        ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"], "labels": []}, "expected 2 labels, got 0"),
+        ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"], "labels": ["x", "x"]}, "labels must be distinct"),
     ],
-    ids=["float-entry", "lambda-string", "lambda-float", "labels-string", "empty", "bool-entry", "flat"],
+    ids=["float-entry", "lambda-string", "lambda-float", "labels-string", "empty", "bool-entry", "flat",
+         "labels-empty", "labels-duplicate"],
 )
 def test_input_not_coerced_exit_2(tmp_path, doc, message):
     path = write_problem(tmp_path, doc)

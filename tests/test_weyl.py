@@ -11,12 +11,16 @@ from kmweights.weights import (
     HighestWeight,
     ht,
     in_parabolic_dominant,
+    integrability_set,
     is_negative,
+    is_positive,
     pairing,
 )
 from kmweights.weyl import (
+    _extend,
     enumerate_group,
     identity,
+    min_summand_height,
     orbit_truncated,
     reflect,
     reflect_weight,
@@ -121,12 +125,71 @@ def test_enumerate_cap_exceeded():
 
 def test_enumerate_over_weyl_budget():
     # This hyperbolic W has 42,554 elements of length <= 14 and 164,478 of
-    # length <= 16; the budget is checked after each breadth-first level.
+    # length <= 16; the budget is checked as each element is built.
     g = parse_gcm([[2, -1, -1], [-3, 2, -3], [-3, -3, 2]])
     with pytest.raises(BudgetExceeded, match=(
-        "^164478 Weyl group elements by word length 16; budget 100000$"
+        "^100001 Weyl group elements by word length 16; budget 100000$"
     )):
         list(enumerate_group(HighestWeight.of([1, 1, 1]), g, range(3), cap=16))
+
+
+def _seen_set_walk(lam, g, nodes, height, cap):
+    """W_J level by level, keeping the first copy of each (images, displacement)."""
+    level = [identity(g.n)]
+    seen = {(level[0].simple_images, level[0].displacement)}
+    out = []
+    while level:
+        inside = [w for w in level if height is None or min_summand_height(w) <= height]
+        if not inside:
+            break
+        out += inside
+        if level[0].length >= cap:
+            break
+        nxt = []
+        for w in level:
+            for i in nodes:
+                if is_positive(w.simple_images[i]):
+                    child = _extend(lam, g, w, i)
+                    if (child.simple_images, child.displacement) not in seen:
+                        seen.add((child.simple_images, child.displacement))
+                        nxt.append(child)
+        level = nxt
+    return out
+
+
+@given(small_gcms_and_weights(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_enumerate_group_is_a_tree_of_reduced_words(case, data):
+    g, lam = case
+    integrable = sorted(integrability_set(lam))
+    drop = data.draw(st.sets(st.sampled_from(integrable), max_size=1)) if integrable else set()
+    nodes = [i for i in integrable if i not in drop]
+    if data.draw(st.booleans()):
+        height, cap = None, data.draw(st.integers(0, 5))
+    else:
+        height = data.draw(st.integers(0, 6))
+        cap = 10 * height + 64
+    try:
+        got = list(enumerate_group(lam, g, nodes, height=height, cap=cap))
+    except BudgetExceeded:
+        return  # an infinite W_J whose frontier outlives the cap
+    keys = [(w.length, w.simple_images, w.displacement) for w in got]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {
+        (w.length, w.simple_images, w.displacement)
+        for w in _seen_set_walk(lam, g, nodes, height, cap)
+    }
+    words = set()
+    for prev, w in zip([identity(g.n)] + got, got):
+        assert prev.length <= w.length
+        # Under a height bound a parent can itself lie above the bound.
+        assert height is not None or w.length == 0 or w.word[:-1] in words
+        words.add(w.word)
+        x = identity(g.n)
+        for i in w.word:  # the word is reduced and spells w
+            assert is_positive(x.simple_images[i])
+            x = _extend(lam, g, x, i)
+        assert x == w
 
 
 def test_orbit_sl2():
