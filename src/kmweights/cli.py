@@ -14,16 +14,21 @@ import contextlib
 import json
 import sys
 from fractions import Fraction
+from math import comb
 from typing import Any, Optional, Sequence
 
 from . import modweights, oracle, roots, series, verify
 from .cartan import GCM, classify, parse_gcm
-from .errors import InputError, KMError
+from .errors import BudgetExceeded, InputError, KMError
 from .weights import HighestWeight, pairing
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+
+# Most offsets of height <= --height that one command may scan: every output
+# truncated at H is picked from the C(H + n, n) offsets of rank n.
+OFFSET_BUDGET = 10 ** 5
 
 
 def load_problem(path: str) -> tuple[GCM, Optional[HighestWeight]]:
@@ -34,6 +39,8 @@ def load_problem(path: str) -> tuple[GCM, Optional[HighestWeight]]:
         raise InputError(f"cannot read input document: {exc}") from None
     if not isinstance(doc, dict) or "cartan" not in doc:
         raise InputError("input must be a JSON object with a 'cartan' matrix")
+    if extra := sorted(set(doc) - {"cartan", "lambda", "labels"}):
+        raise InputError(f"unknown key {extra[0]!r} in the input document")
     g = parse_gcm(doc["cartan"], doc.get("labels"))
     lam = None
     if "lambda" in doc:
@@ -235,6 +242,15 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
 
 def _dispatch(args, stdout) -> int:
     g, lam = load_problem(args.input)
+    # The denominator check reads no height; every other height is checked here.
+    height = getattr(args, "height", None)
+    if height is not None and getattr(args, "check", None) != "denominator":
+        count = comb(height + g.n, g.n)
+        if count > OFFSET_BUDGET:
+            raise BudgetExceeded(
+                f"{count} offsets of height <= {height} at rank {g.n};"
+                f" budget {OFFSET_BUDGET}"
+            )
 
     if args.command == "classify":
         out = [
@@ -279,7 +295,7 @@ def _dispatch(args, stdout) -> int:
             s = series.wkw_sum(lam, g, args.height)
         else:
             s = series.atiyah_bott_sum(lam, g, args.height)
-        _emit(verify.series_json(s), stdout)
+        _emit(verify.series_json(s.terms), stdout)
         return EXIT_OK
 
     # argparse admits only the five subcommands, so this one is "verify".

@@ -191,16 +191,14 @@ def hull_weight_set(model: HullModel, n: int, bound: int) -> WeightSet:
     return WeightSet(bound, members, "hull", model.complete)
 
 
-def wt_simple_hull(
-    lam: HighestWeight, g: GCM, bound: int, depth: Optional[int] = None
-) -> WeightSet:
+def wt_simple_hull(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
     """Hull formula: offsets of height <= bound inside conv L(lambda).
 
     Candidates already satisfy mu <= lambda by construction.  One model
     from `hull_model` decides every candidate; its certificate caches
     leave an LP only for the candidates no earlier proof settles.
     """
-    return hull_weight_set(hull_model(lam, g, bound, depth), g.n, bound)
+    return hull_weight_set(hull_model(lam, g, bound, None), g.n, bound)
 
 
 def wt_parabolic_verma(

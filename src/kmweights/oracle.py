@@ -13,6 +13,7 @@ is exact.
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 
 from .cartan import GCM, symmetrizable
@@ -35,26 +36,23 @@ def word_count(c: Offset) -> int:
     return count
 
 
-def words_of_offset(c: Offset) -> list[LoweringWord]:
-    """All distinct orderings of the multiset {i with multiplicity c_i}.
+def _lowered(c: Offset, table: dict[Offset, list[LoweringWord]]) -> list[LoweringWord]:
+    """(i,) + w for each i with c_i > 0, ascending, and each w in table[c - e_i]."""
+    return [(i,) + w for i in range(len(c)) if c[i]
+            for w in table[c[:i] + (c[i] - 1,) + c[i + 1 :]]]
 
-    Generated in lexicographic order by next-permutation steps, so only
-    the word_count(c) distinct words are ever built.
+
+def words_of_offset(c: Offset) -> list[LoweringWord]:
+    """All distinct orderings of the multiset {i with multiplicity c_i}, sorted.
+
+    The words of d are `_lowered` from those of each d - e_i, so the table
+    is filled over the box of offsets d <= c in lexicographic order, which
+    puts every d - e_i before d.
     """
-    word = [i for i, k in enumerate(c) for _ in range(k)]
-    words = []
-    while True:
-        words.append(tuple(word))
-        i = len(word) - 2
-        while i >= 0 and word[i] >= word[i + 1]:
-            i -= 1
-        if i < 0:
-            return words
-        j = len(word) - 1
-        while word[j] <= word[i]:
-            j -= 1
-        word[i], word[j] = word[j], word[i]
-        word[i + 1 :] = reversed(word[i + 1 :])
+    table: dict[Offset, list[LoweringWord]] = {}
+    for d in product(*(range(k + 1) for k in c)):
+        table[d] = _lowered(d, table) if any(d) else [()]
+    return table[c]
 
 
 def _apply_e(
@@ -143,12 +141,7 @@ def word_bases(
         if not any(c):
             bases[c] = [()]
             continue
-        candidates = [
-            (i,) + w
-            for i in range(g.n)
-            if c[i]
-            for w in bases[c[:i] + (c[i] - 1,) + c[i + 1 :]]
-        ]
+        candidates = _lowered(c, bases)
         if len(candidates) > WORD_BUDGET:
             raise BudgetExceeded(
                 f"{len(candidates)} candidate words at offset {c} exceeds {WORD_BUDGET}"

@@ -104,18 +104,6 @@ class TruncSeries:
             assert len(c) == self.rank and min(c) >= 0, f"bad offset {c}"
             assert ht(c) <= self.bound, f"offset {c} beyond bound {self.bound}"
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        bound = min(self.bound, other.bound)
-        powers = truncated_code(self.rank, bound)[0]
-        parts = [_keys(x.terms, powers) for x in (self, other)]
-        return _series(self.rank, bound, parts)
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        negated = {c: -v for c, v in other.terms.items()}
-        return self + TruncSeries(other.rank, other.bound, negated)
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
@@ -199,7 +187,8 @@ def finite_weyl_group(
     size = prod(ht(a) + 1 for a in pos) // prod(ht(a) for a in pos)
     if size > WEYL_BUDGET:
         raise BudgetExceeded(f"Weyl group has {size} elements; budget {WEYL_BUDGET}")
-    return list(enumerate_group(lam, g, range(g.n), height=None, cap=2 ** 16)), pos
+    # The longest element has length |Phi^+|, so the walk ends exactly at it.
+    return list(enumerate_group(lam, g, range(g.n), height=None, cap=len(pos))), pos
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ def _report(line):
 def test_ac1_three_formulas_agree(g, lam):
     H = 10
     ws_slice = wt_simple_slice(lam, g, H)
-    ws_hull = wt_simple_hull(lam, g, H, 2 * H + 4)
+    ws_hull = wt_simple_hull(lam, g, H)
     assert ws_hull.members == ws_slice.members
     try:
         ws_orbit = wt_simple_orbit(lam, g, H)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kmweights import cli, modweights
+from kmweights import cli, modweights, roots, series, verify
 from kmweights.cli import run
 from kmweights.errors import (
     BudgetExceeded,
@@ -269,9 +269,10 @@ def test_weights_oracle_advisory_flag(tmp_path):
         ({"cartan": [2, 2]}, "row"),
         ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"], "labels": []}, "expected 2 labels, got 0"),
         ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"], "labels": ["x", "x"]}, "labels must be distinct"),
+        ({"cartan": [[2, -1], [-1, 2]], "lables": ["x", "y"]}, "unknown key 'lables'"),
     ],
     ids=["float-entry", "lambda-string", "lambda-float", "labels-string", "empty", "bool-entry", "flat",
-         "labels-empty", "labels-duplicate"],
+         "labels-empty", "labels-duplicate", "unknown-key"],
 )
 def test_input_not_coerced_exit_2(tmp_path, doc, message):
     path = write_problem(tmp_path, doc)
@@ -353,3 +354,24 @@ def test_svg_rank_checked_before_the_hull_is_built(tmp_path, monkeypatch):
         ["weights", "--input", path, "--method", "hull", "--height", "8", "--format", "svg"]
     )
     assert (code, out, err) == (2, "", "input error: no default projection for rank 4\n")
+
+
+@pytest.mark.parametrize("argv,module,name", [
+    (["roots", "--kind", "real"], roots, "positive_real_up_to"),
+    (["weights", "--method", "slice"], modweights, "wt_simple_slice"),
+    (["series", "--formula", "wkw"], series, "wkw_sum"),
+    (["verify", "--check", "macdonald"], verify, "verify_rank2_macdonald"),
+])
+def test_height_over_offset_budget_refused_before_work(
+    tmp_path, monkeypatch, argv, module, name
+):
+    def spy(*args):
+        raise AssertionError(f"{name} ran past the offset budget")
+
+    monkeypatch.setattr(module, name, spy)
+    path = write_problem(tmp_path, {"cartan": [[2, -2], [-2, 2]], "lambda": ["1", "0"]})
+    code, out, err = invoke(argv + ["--input", path, "--height", str(10 ** 20)])
+    assert (code, out, err) == (4, "", (
+        "budget exceeded: 5000000000000000000150000000000000000001 offsets of"
+        " height <= 100000000000000000000 at rank 2; budget 100000\n"
+    ))

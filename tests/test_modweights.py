@@ -9,6 +9,8 @@ from kmweights.errors import Inapplicable, InfiniteStabilizer
 from kmweights.modweights import (
     hull_contains,
     hull_generators,
+    hull_model,
+    hull_weight_set,
     wt_integrable,
     wt_parabolic_verma,
     wt_parabolic_verma_induced,
@@ -124,7 +126,7 @@ def test_hull_contains_segment_interior_and_exterior():
 
 
 def test_hull_set_sl2():
-    ws = wt_simple_hull(HighestWeight.of([3]), A1, 10, 2)
+    ws = hull_weight_set(hull_model(HighestWeight.of([3]), A1, 10, 2), 1, 10)
     assert ws.sorted_members() == [(0,), (1,), (2,), (3,)]
 
 

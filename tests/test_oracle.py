@@ -129,7 +129,10 @@ def test_budget_checked_before_words_are_built(monkeypatch):
         simple_multiplicity(HighestWeight.of([1, 1]), A2, (6, 6))
 
 
-@pytest.mark.parametrize("c", [(), (0,), (0, 0), (2,), (2, 1), (1, 0, 2), (2, 2, 1), (3, 3)])
+@pytest.mark.parametrize("c", [
+    (), (0,), (0, 0), (2,), (2, 1), (1, 0, 2), (2, 2, 1), (3, 3), (0, 3), (3, 0, 2),
+    (1, 1, 1, 1),
+])
 def test_words_of_offset_sorted_distinct_orderings(c):
     letters = [i for i, k in enumerate(c) for _ in range(k)]
     words = words_of_offset(c)
