@@ -41,6 +41,8 @@ def load_problem(path: str) -> tuple[GCM, Optional[HighestWeight]]:
         raise InputError("input must be a JSON object with a 'cartan' matrix")
     if extra := sorted(set(doc) - {"cartan", "lambda", "labels"}):
         raise InputError(f"unknown key {extra[0]!r} in the input document")
+    if "labels" in doc and doc["labels"] is None:
+        raise InputError("labels must be a list of strings, got None")
     g = parse_gcm(doc["cartan"], doc.get("labels"))
     lam = None
     if "lambda" in doc:

@@ -103,8 +103,11 @@ def enumerate_group(
 ) -> Iterator[GroupElement]:
     """Breadth-first stream of W_J, J = nodes, each element built once.
 
-    Yields every element whose minimal summand height is <= `height`
-    (every element of length <= cap when height is None), in length order.
+    Yields, in length order, the elements whose minimal summand height is
+    <= `height` (every element of length <= cap when height is None), and
+    stops after the first length with none of them: a longer element inside
+    the bound is then missed.  For finite W_J its summands cancel below the
+    bound; tests/test_series.py checks wkw_sum against all of W_J.
     w != e is built only from its parent w s_d, d its largest descent in J
     (w alpha_d < 0), so w.word[:-1] is the parent's word.  Raises
     BudgetExceeded if the cap is hit while some frontier element is still

@@ -270,9 +270,10 @@ def test_weights_oracle_advisory_flag(tmp_path):
         ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"], "labels": []}, "expected 2 labels, got 0"),
         ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"], "labels": ["x", "x"]}, "labels must be distinct"),
         ({"cartan": [[2, -1], [-1, 2]], "lables": ["x", "y"]}, "unknown key 'lables'"),
+        ({"cartan": [[2, -1], [-1, 2]], "labels": None}, "labels must be a list of strings, got None"),
     ],
     ids=["float-entry", "lambda-string", "lambda-float", "labels-string", "empty", "bool-entry", "flat",
-         "labels-empty", "labels-duplicate", "unknown-key"],
+         "labels-empty", "labels-duplicate", "unknown-key", "labels-null"],
 )
 def test_input_not_coerced_exit_2(tmp_path, doc, message):
     path = write_problem(tmp_path, doc)

@@ -2,10 +2,10 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kmweights.cartan import is_finite_type, parse_gcm
+from kmweights.cartan import is_finite_type, parse_gcm, subdiagram
 from kmweights.errors import Inapplicable
 from kmweights.series import (
     LaurentElt,
@@ -23,7 +23,7 @@ from kmweights.weights import (
     neg,
     zero_offset,
 )
-from kmweights.weyl import enumerate_group, identity, stabilizer_is_finite
+from kmweights.weyl import enumerate_group, identity, min_summand_height, stabilizer_is_finite
 from kmweights.weights import integrability_set
 
 from conftest import CORPUS_MATRICES, apply, keyed_laurent, small_gcms_and_weights
@@ -297,6 +297,31 @@ def test_wkw_sum_matches_tuple_reference(case, bound):
     elements = list(enumerate_group(lam, g, integrability_set(lam), height=bound))
     want = tuple_weyl_sum(elements, lambda w: w.simple_images, bound)
     assert wkw_sum(lam, g, bound).terms == want
+
+
+@given(small_gcms_and_weights(), st.integers(0, 7))
+@settings(max_examples=60, deadline=None)
+def test_wkw_sum_matches_whole_finite_group(case, bound):
+    # The reference sums over all of W_J, not over the walk that stops early.
+    g, lam = case
+    nodes = sorted(integrability_set(lam))
+    assume(is_finite_type(subdiagram(g, nodes)))
+    elements = enumerate_group(lam, g, nodes, height=None, cap=64)
+    want = tuple_weyl_sum(elements, lambda w: w.simple_images, bound)
+    assert wkw_sum(lam, g, bound).terms == want
+
+
+@pytest.mark.parametrize("m", [[[2, -1], [-3, 2]], [[2, -3], [-1, 2]]])
+def test_wkw_sum_early_stop_on_g2(m):
+    # At H=2 the walk stops after length 2, yet two longer elements (w0 among
+    # them) have minimal summand height 2; their summands cancel below H.
+    g, lam = parse_gcm(m), HighestWeight.of([0, 0])
+    walked = list(enumerate_group(lam, g, [0, 1], height=2))
+    assert max(w.length for w in walked) == 2
+    whole = list(enumerate_group(lam, g, [0, 1], height=None))
+    assert [w.length for w in whole if min_summand_height(w) <= 2 and w.length > 2] == [5, 6]
+    assert tuple_weyl_sum(whole, lambda w: w.simple_images, 2) == {(0, 0): 1}
+    assert wkw_sum(lam, g, 2).terms == {(0, 0): 1}
 
 
 FINITE_AB = {
