@@ -18,9 +18,9 @@ from math import comb
 from typing import Any, Optional, Sequence
 
 from . import modweights, oracle, roots, series, verify
-from .cartan import GCM, classify, parse_gcm
+from .cartan import GCM, classify, parse_gcm, symmetrizable
 from .errors import BudgetExceeded, InputError, KMError
-from .weights import HighestWeight, pairing
+from .weights import HighestWeight, neg, pairing
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -35,7 +35,7 @@ def load_problem(path: str) -> tuple[GCM, Optional[HighestWeight]]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read input document: {exc}") from None
     if not isinstance(doc, dict) or "cartan" not in doc:
         raise InputError("input must be a JSON object with a 'cartan' matrix")
@@ -68,23 +68,21 @@ def _need_lambda(lam: Optional[HighestWeight]) -> HighestWeight:
 
 
 def _weight_set_json(
-    lam: HighestWeight, g: GCM, ws: modweights.WeightSet, depth: Optional[int]
+    args, lam: HighestWeight, g: GCM, ws: modweights.WeightSet
 ) -> dict[str, Any]:
+    members = sorted(ws.members)
     out: dict[str, Any] = {
-        "method": ws.method,
-        "height": ws.bound,
-        "offsets": [list(c) for c in ws.sorted_members()],
-        "pairings": [
-            [str(pairing(lam, g, c, i)) for i in range(g.n)]
-            for c in ws.sorted_members()
-        ],
+        "method": args.method,
+        "height": args.height,
+        "offsets": [list(c) for c in members],
+        "pairings": [[str(pairing(lam, g, c, i)) for i in range(g.n)] for c in members],
     }
-    if ws.method == "hull":
-        if depth is not None:
-            out["depth"] = depth
+    if args.method == "hull":
+        if args.depth is not None:
+            out["depth"] = args.depth
         out["complete"] = ws.complete
-    if ws.method == "oracle":
-        out["advisory"] = oracle.oracle_is_advisory(g)
+    if args.method == "oracle":
+        out["advisory"] = symmetrizable(g) is None
     return out
 
 
@@ -106,21 +104,14 @@ def emit_svg(g: GCM, ws: modweights.WeightSet, hull: modweights.HullModel) -> st
     """Deterministic SVG: weight dots, projected hull polygon, ray arrows."""
     proj = _default_projection(g.n)
 
-    def project(c: Sequence[int]) -> tuple[Fraction, Fraction]:
+    def project(c: Sequence[int]) -> tuple[Fraction, ...]:
         # Weight lambda - sum c_i alpha_i drawn with lambda at the origin.
-        x = -sum(proj[0][i] * c[i] for i in range(g.n))
-        y = -sum(proj[1][i] * c[i] for i in range(g.n))
-        return (x, y)
+        return tuple(-sum(row[i] * c[i] for i in range(g.n)) for row in proj)
 
-    dots = [project(c) for c in ws.sorted_members()]
-    verts = [project(v) for v in sorted(hull.vertices)]
-    hull2d = _convex_hull_2d(sorted(set(verts)))
-    rays = []
-    for r in sorted(hull.rays):
-        # Ray direction in weight space; the offset grows along -r.
-        dx = sum(proj[0][i] * r[i] for i in range(g.n))
-        dy = sum(proj[1][i] * r[i] for i in range(g.n))
-        rays.append((dx, dy))
+    dots = [project(c) for c in sorted(ws.members)]
+    hull2d = _convex_hull_2d([project(v) for v in hull.vertices])
+    # A ray is a weight-space direction; the offset grows along -r.
+    rays = [project(neg(r)) for r in sorted(hull.rays)]
 
     scale = Fraction(40)
     pts = dots + hull2d + [(0, 0)]
@@ -161,7 +152,7 @@ def emit_svg(g: GCM, ws: modweights.WeightSet, hull: modweights.HullModel) -> st
 def _convex_hull_2d(
     pts: list[tuple[Fraction, Fraction]]
 ) -> list[tuple[Fraction, Fraction]]:
-    """Andrew monotone chain with exact orientation tests."""
+    """Strict vertices, counter-clockwise, by Andrew's monotone chain with exact tests."""
     pts = sorted(set(pts))
     if len(pts) <= 2:
         return pts
@@ -169,17 +160,15 @@ def _convex_hull_2d(
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    def half(points) -> list:
+        chain: list = []
+        for p in points:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    return half(pts) + half(reversed(pts))
 
 
 def _emit(doc: Any, out) -> None:
@@ -199,30 +188,27 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     stderr = stderr or sys.stderr
     parser = argparse.ArgumentParser(prog="kmweights")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--input", required=True)
 
-    p = sub.add_parser("classify")
-    p.add_argument("--input", required=True)
+    sub.add_parser("classify", parents=[common])
 
-    p = sub.add_parser("roots")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("roots", parents=[common])
     p.add_argument("--height", type=_nonnegative_int, required=True)
     p.add_argument("--kind", choices=["real", "imaginary"], default="real")
 
-    p = sub.add_parser("weights")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("weights", parents=[common])
     p.add_argument("--method", choices=["slice", "orbit", "hull", "oracle"],
                    default="slice")
     p.add_argument("--height", type=_nonnegative_int, required=True)
     p.add_argument("--depth", type=_nonnegative_int, default=None)
     p.add_argument("--format", choices=["json", "svg"], default="json")
 
-    p = sub.add_parser("series")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("series", parents=[common])
     p.add_argument("--formula", choices=["wkw", "ab"], required=True)
     p.add_argument("--height", type=_nonnegative_int, required=True)
 
-    p = sub.add_parser("verify")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("verify", parents=[common])
     p.add_argument("--check", required=True,
                    choices=["cross", "wkw", "denominator", "macdonald",
                             "integrability"])
@@ -288,7 +274,7 @@ def _dispatch(args, stdout) -> int:
         if args.format == "svg":
             stdout.write(emit_svg(g, ws, model))
         else:
-            _emit(_weight_set_json(lam, g, ws, args.depth), stdout)
+            _emit(_weight_set_json(args, lam, g, ws), stdout)
         return EXIT_OK
 
     if args.command == "series":

@@ -14,10 +14,6 @@ class InputError(KMError):
     kind = "input error"
 
 
-class NonIntegralPairing(KMError):
-    """A reflection was requested at a node with non-integral pairing."""
-
-
 class Inapplicable(KMError):
     """A formula's hypothesis fails: diagram type, rank or integrality of lambda."""
 

@@ -36,13 +36,8 @@ from .weyl import enumerate_group, orbit_truncated, stabilizer_is_finite
 class WeightSet:
     """Truncated weight set of a highest-weight module, as offsets."""
 
-    bound: int
     members: frozenset[Offset]
-    method: str
     complete: bool = True
-
-    def sorted_members(self) -> list[Offset]:
-        return sorted(self.members)
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ def wt_integrable(
         if not _nondegenerate(lam, g, c):
             continue
         members |= orbit_truncated(lam, g, nodes, c, bound)
-    return WeightSet(bound, frozenset(members), "integrable")
+    return WeightSet(frozenset(members))
 
 
 def _shifted(lam: HighestWeight, g: GCM, b: Offset) -> HighestWeight:
@@ -112,8 +107,7 @@ def _shifted(lam: HighestWeight, g: GCM, b: Offset) -> HighestWeight:
 
 def wt_simple_slice(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
     """Integrable Slice Decomposition: wt L(lambda) = wt M(lambda, I_lambda)."""
-    pverma = wt_parabolic_verma(lam, g, integrability_set(lam), bound)
-    return WeightSet(bound, pverma.members, "slice")
+    return wt_parabolic_verma(lam, g, integrability_set(lam), bound)
 
 
 def wt_simple_orbit(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
@@ -130,7 +124,7 @@ def wt_simple_orbit(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
     for c in offsets_up_to(g.n, bound):
         if in_parabolic_dominant(lam, g, c, ilam):
             members |= orbit_truncated(lam, g, ilam, c, bound)
-    return WeightSet(bound, frozenset(members), "orbit")
+    return WeightSet(frozenset(members))
 
 
 def hull_generators(
@@ -188,7 +182,7 @@ def hull_weight_set(model: HullModel, n: int, bound: int) -> WeightSet:
     The set is flagged incomplete unless the model has every generator.
     """
     members = frozenset(c for c in offsets_up_to(n, bound) if hull_contains(model, c))
-    return WeightSet(bound, members, "hull", model.complete)
+    return WeightSet(members, model.complete)
 
 
 def wt_simple_hull(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
@@ -216,7 +210,7 @@ def wt_parabolic_verma(
     for b in offsets_up_to(g.n, bound, set(range(g.n)) - set(nodes)):
         inner = wt_integrable(_shifted(lam, g, b), g, nodes, bound - ht(b))
         members.update(add(b, c) for c in inner.members)
-    return WeightSet(bound, frozenset(members), "pverma")
+    return WeightSet(frozenset(members))
 
 
 def wt_parabolic_verma_induced(
@@ -246,4 +240,4 @@ def wt_parabolic_verma_induced(
         for cl in levi.members:
             if ht(cl) <= room:
                 members.add(add(cu, cl))
-    return WeightSet(bound, frozenset(members), "pverma-induced")
+    return WeightSet(frozenset(members))

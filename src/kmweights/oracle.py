@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
-from .cartan import GCM, symmetrizable
+from .cartan import GCM
 from .errors import BudgetExceeded
 from .lp import independent_rows, integer_row
 from .modweights import WeightSet
@@ -163,8 +163,4 @@ def oracle_weight_set(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
     relations alone; results are then advisory.
     """
     bases = word_bases(lam, g, bound)
-    return WeightSet(bound, frozenset(c for c, basis in bases.items() if basis), "oracle")
-
-
-def oracle_is_advisory(g: GCM) -> bool:
-    return symmetrizable(g) is None
+    return WeightSet(frozenset(c for c, basis in bases.items() if basis))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .cartan import GCM, is_finite_type
-from .errors import BudgetExceeded, Inapplicable, InfiniteStabilizer, NonIntegralPairing
+from .errors import BudgetExceeded, Inapplicable, InfiniteStabilizer
 from .modweights import wt_simple_hull, wt_simple_orbit, wt_simple_slice
 from .roots import positive_imaginary_up_to
 from .series import decode, encode, finite_weyl_group, mul_keys, wkw_sum
@@ -180,10 +180,9 @@ def check_integrability_invariants(lam: HighestWeight, g: GCM, bound: int) -> Re
     ws = wt_simple_slice(lam, g, bound)
 
     def inside(i: int, c: Offset) -> bool:
-        try:
-            img = reflect_weight(lam, g, i, c)
-        except NonIntegralPairing:
+        if lam.q[i].denominator != 1:  # s_i leaves lambda - Z Delta
             return False
+        img = reflect_weight(lam, g, i, c)
         # None marks a reflection that escapes mu <= lambda.
         return img is not None and (ht(img) > bound or img in ws.members)
 

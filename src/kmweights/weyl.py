@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cartan import GCM, closure, is_finite_type, subdiagram
-from .errors import BudgetExceeded, Inapplicable, NonIntegralPairing
+from .errors import BudgetExceeded, Inapplicable
 from .weights import (
     HighestWeight,
     Offset,
@@ -55,13 +55,12 @@ def reflect_weight(
 ) -> Optional[Offset]:
     """Offset of s_i(lambda - c); None marks an image above lambda.
 
-    Raises NonIntegralPairing when (h_i, mu) is not an integer, i.e. the
-    reflection leaves lambda - Z Delta.
+    Raises Inapplicable when (h_i, mu) is not an integer: s_i leaves lambda - Z Delta.
     """
     q = lam.q[i]
     if q.denominator != 1:
         p = pairing(lam, g, c, i)
-        raise NonIntegralPairing(f"(h_{i}, mu) = {p} not an integer")
+        raise Inapplicable(f"(h_{i}, mu) = {p} not an integer")
     out = list(c)
     out[i] += q.numerator - cartan_pairing(g, c, i)
     if out[i] < 0:

@@ -1,7 +1,12 @@
 import io
 import json
+import sys
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmweights import cli, modweights, roots, series, verify
 from kmweights.cli import run
@@ -11,7 +16,6 @@ from kmweights.errors import (
     InfiniteStabilizer,
     InputError,
     KMError,
-    NonIntegralPairing,
 )
 
 
@@ -173,12 +177,25 @@ def test_verify_cross(tmp_path):
     assert json.loads(out)["status"] == "PASS"
 
 
-def test_malformed_input_exit_2(tmp_path):
+def _has_digit_limit():
+    return bool(getattr(sys, "get_int_max_str_digits", lambda: 0)())
+
+
+@pytest.mark.parametrize("raw", [
+    b"{not json",
+    b"\xff\xfe",
+    b"[" * 100_000 + b"]" * 100_000,
+    pytest.param(
+        b'{"cartan": ' + b"9" * 5000 + b"}",
+        marks=pytest.mark.skipif(not _has_digit_limit(), reason="no integer digit limit"),
+    ),
+], ids=["not-json", "not-utf8", "nested-too-deep", "long-integer"])
+def test_malformed_input_exit_2(tmp_path, raw):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _, err = invoke(["classify", "--input", str(path)])
-    assert code == 2
-    assert err
+    path.write_bytes(raw)
+    code, out, err = invoke(["classify", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: cannot read input document: ")
 
 
 def test_gcm_axiom_violation_exit_2(tmp_path):
@@ -216,6 +233,56 @@ def test_svg_deterministic(tmp_path):
     assert out1 == out2
     assert "<polygon" in out1
     assert "<line" in out1  # rays along the non-integrable direction
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _extreme_points(pts):
+    # p is a vertex exactly when no segment or nondegenerate triangle of the
+    # other points contains it (Caratheodory's theorem in the plane).
+    def on_segment(p, a, b):
+        return _cross(a, b, p) == 0 and min(a, b) <= p <= max(a, b)
+
+    def in_triangle(p, a, b, c):
+        turns = [_cross(a, b, p), _cross(b, c, p), _cross(c, a, p)]
+        return _cross(a, b, c) != 0 and (min(turns) >= 0 or max(turns) <= 0)
+
+    def covered(p, others):
+        return any(on_segment(p, a, b) for a, b in combinations(others, 2)) or any(
+            in_triangle(p, a, b, c) for a, b, c in combinations(others, 3)
+        )
+
+    distinct = set(pts)
+    return {p for p in distinct if not covered(p, distinct - {p})}
+
+
+@st.composite
+def _plane_points(draw):
+    # Up to 9 small rational points, with repeats and collinear runs.
+    coord = st.integers(-3, 3).map(lambda k: Fraction(k, 2))
+    pts: list = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["new", "repeat", "collinear"])) if len(pts) >= 2 else "new"
+        if kind == "new":
+            pts.append((draw(coord), draw(coord)))
+        elif kind == "repeat":
+            pts.append(draw(st.sampled_from(pts)))
+        else:
+            a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+            t = Fraction(draw(st.integers(-2, 4)), 2)
+            pts.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    return pts
+
+
+@given(_plane_points())
+@settings(max_examples=300, deadline=None)
+def test_convex_hull_2d_matches_extreme_points(pts):
+    hull = cli._convex_hull_2d(pts)
+    assert len(hull) == len(set(hull)) and set(hull) == _extreme_points(pts)
+    if len(hull) >= 3:  # strict left turns all the way round
+        assert all(_cross(hull[k - 2], hull[k - 1], hull[k]) > 0 for k in range(len(hull)))
 
 
 def test_weights_hull_reports_completeness(tmp_path):
@@ -329,7 +396,6 @@ def test_svg_hull_model_built_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("error,code,prefix", [
     (KMError, 2, "error"),
     (InputError, 2, "input error"),
-    (NonIntegralPairing, 2, "error"),
     (Inapplicable, 3, "method inapplicable"),
     (InfiniteStabilizer, 3, "method inapplicable"),
     (BudgetExceeded, 4, "budget exceeded"),

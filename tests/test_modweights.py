@@ -30,7 +30,7 @@ AFF = parse_gcm([[2, -2], [-2, 2]])
 
 def test_integrable_sl2_string():
     ws = wt_integrable(HighestWeight.of([3]), A1, [0], 10)
-    assert ws.sorted_members() == [(0,), (1,), (2,), (3,)]
+    assert sorted(ws.members) == [(0,), (1,), (2,), (3,)]
 
 
 def test_integrable_trivial_module():
@@ -51,7 +51,7 @@ def test_integrable_rejects_nonintegral():
 
 def test_slice_verma_line():
     ws = wt_simple_slice(HighestWeight.of([Fraction(-3, 2)]), A1, 7)
-    assert ws.sorted_members() == [(k,) for k in range(8)]
+    assert sorted(ws.members) == [(k,) for k in range(8)]
 
 
 def test_slice_adjoint():
@@ -127,7 +127,7 @@ def test_hull_contains_segment_interior_and_exterior():
 
 def test_hull_set_sl2():
     ws = hull_weight_set(hull_model(HighestWeight.of([3]), A1, 10, 2), 1, 10)
-    assert ws.sorted_members() == [(0,), (1,), (2,), (3,)]
+    assert sorted(ws.members) == [(0,), (1,), (2,), (3,)]
 
 
 def test_hull_excludes_outside_adjoint():

@@ -13,7 +13,6 @@ from kmweights.lp import independent_rows
 from kmweights.oracle import (
     GramBuilder,
     oracle_weight_set,
-    oracle_is_advisory,
     simple_multiplicity,
     word_bases,
     word_count,
@@ -189,7 +188,7 @@ def test_verma_multiplicity_is_kostant_count():
 
 
 def test_oracle_weight_set_sl2():
-    assert oracle_weight_set(HighestWeight.of([3]), A1, 6).sorted_members() == [
+    assert sorted(oracle_weight_set(HighestWeight.of([3]), A1, 6).members) == [
         (0,),
         (1,),
         (2,),
@@ -199,7 +198,7 @@ def test_oracle_weight_set_sl2():
 
 def test_oracle_weight_set_verma():
     ws = oracle_weight_set(HighestWeight.of([Fraction(-3, 2)]), A1, 6)
-    assert ws.sorted_members() == [(k,) for k in range(7)]
+    assert sorted(ws.members) == [(k,) for k in range(7)]
 
 
 def test_oracle_weight_set_affine_matches_slice():
@@ -208,12 +207,6 @@ def test_oracle_weight_set_affine_matches_slice():
         oracle_weight_set(lam, AFF, 4).members
         == wt_simple_slice(lam, AFF, 4).members
     )
-
-
-def test_advisory_flag():
-    assert not oracle_is_advisory(A2)
-    nonsym = parse_gcm([[2, -1, -2], [-2, 2, -1], [-1, -2, 2]])
-    assert oracle_is_advisory(nonsym)
 
 
 def test_independent_rows_are_first_spanning_rows():
