@@ -1,6 +1,6 @@
 """Exact weight sets of simple highest-weight modules over Kac-Moody algebras."""
 
-from .cartan import GCM, DiagramType, classify, parse_gcm, subdiagram, symmetrizable
+from .cartan import GCM, DiagramType, classify, parse_gcm, symmetrizable
 from .weights import HighestWeight, integrability_set, pairing
 from .modweights import (
     WeightSet,
@@ -10,13 +10,12 @@ from .modweights import (
     wt_simple_slice,
 )
 from .oracle import oracle_weight_set, simple_multiplicity
-from .series import TruncSeries, atiyah_bott_sum, wkw_sum
+from .series import atiyah_bott_sum, wkw_sum
 
 __all__ = [
     "GCM",
     "DiagramType",
     "HighestWeight",
-    "TruncSeries",
     "WeightSet",
     "atiyah_bott_sum",
     "classify",
@@ -25,7 +24,6 @@ __all__ = [
     "pairing",
     "parse_gcm",
     "simple_multiplicity",
-    "subdiagram",
     "symmetrizable",
     "wkw_sum",
     "wt_parabolic_verma",

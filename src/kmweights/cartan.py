@@ -1,4 +1,4 @@
-"""Generalized Cartan matrices: validation, classification, subdiagrams."""
+"""Generalized Cartan matrices: validation, classification of node sets."""
 
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ class GCM:
         for i, row in enumerate(self.a):
             if len(row) != n:
                 raise InputError(f"row {i} has length {len(row)}, expected {n}")
+        for i, row in enumerate(self.a):
             if row[i] != 2:
                 raise InputError(f"a[{i}][{i}] = {row[i]} != 2")
             for j, v in enumerate(row):
@@ -111,15 +112,6 @@ def closure(seeds: Iterable[T], successors: Callable[[T], Iterable[T]]) -> set[T
     return out
 
 
-def subdiagram(g: GCM, nodes: Sequence[int]) -> GCM:
-    """Principal submatrix on the given nodes, labels inherited."""
-    nodes = list(nodes)
-    if not all(0 <= i < g.n for i in nodes):
-        raise InputError(f"nodes {nodes} not a subset of 0..{g.n - 1}")
-    a = tuple(tuple(g.a[i][j] for j in nodes) for i in nodes)
-    return GCM(a, tuple(g.labels[i] for i in nodes))
-
-
 def _component_type(g: GCM, nodes: tuple[int, ...]) -> DiagramType:
     # Vinberg trichotomy for an indecomposable GCM A, decided by exact LP:
     #   Finite: exists u > 0 with Au > 0;  Affine: exists u > 0 with Au = 0.
@@ -137,13 +129,15 @@ def _component_type(g: GCM, nodes: tuple[int, ...]) -> DiagramType:
     return DiagramType.INDEFINITE
 
 
-def classify(g: GCM) -> list[tuple[tuple[int, ...], DiagramType]]:
-    """Label each indecomposable component Finite, Affine, or Indefinite."""
-    return [(comp, _component_type(g, comp)) for comp in components(g)]
+def classify(
+    g: GCM, nodes: Optional[Iterable[int]] = None
+) -> list[tuple[tuple[int, ...], DiagramType]]:
+    """Label each component of the diagram on `nodes` (default: all) by its type."""
+    return [(comp, _component_type(g, comp)) for comp in components(g, nodes)]
 
 
-def is_finite_type(g: GCM) -> bool:
-    return all(t is DiagramType.FINITE for _, t in classify(g))
+def is_finite_type(g: GCM, nodes: Optional[Iterable[int]] = None) -> bool:
+    return all(t is DiagramType.FINITE for _, t in classify(g, nodes))
 
 
 def symmetrizable(g: GCM) -> Optional[tuple[Fraction, ...]]:

@@ -15,14 +15,10 @@ class InputError(KMError):
 
 
 class Inapplicable(KMError):
-    """A formula's hypothesis fails: diagram type, rank or integrality of lambda."""
+    """A formula's hypothesis fails: diagram type, rank, integrality or stabilizer."""
 
     exit_code = 3
     kind = "method inapplicable"
-
-
-class InfiniteStabilizer(Inapplicable):
-    """The orbit formula's finite-stabilizer hypothesis fails."""
 
 
 class BudgetExceeded(KMError):

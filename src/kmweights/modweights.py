@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .cartan import GCM, closure, components
-from .errors import Inapplicable, InfiniteStabilizer
+from .errors import Inapplicable
 from .lp import Certificates, Proof, feasible
 from .roots import positive_imaginary_up_to, positive_real_up_to
 from .weights import (
@@ -116,8 +116,8 @@ def wt_simple_orbit(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
     Requires a finite stabilizer of lambda in W_{I_lambda}.
     """
     ilam = sorted(integrability_set(lam))
-    if not stabilizer_is_finite(lam, g, ilam):
-        raise InfiniteStabilizer(
+    if not stabilizer_is_finite(lam, g):
+        raise Inapplicable(
             "lambda has infinite stabilizer in the integrable Weyl subgroup"
         )
     members: set[Offset] = set()
@@ -127,11 +127,9 @@ def wt_simple_orbit(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
     return WeightSet(frozenset(members))
 
 
-def hull_generators(
-    lam: HighestWeight, g: GCM, nodes: Iterable[int], depth: int
-) -> HullModel:
-    """Ray Decomposition generators to Weyl-word depth `depth`."""
-    nodes = sorted(nodes)
+def hull_generators(lam: HighestWeight, g: GCM, depth: int) -> HullModel:
+    """Ray Decomposition generators on J = I_lambda to Weyl-word depth `depth`."""
+    nodes = sorted(integrability_set(lam))
     outside = [i for i in range(g.n) if i not in set(nodes)]
     vertices: set[Offset] = set()
     rays: set[SignedOffset] = set()
@@ -153,9 +151,7 @@ def hull_model(
 
     Weyl-word depth `depth`, or 2 * bound + 4 when it is None.
     """
-    if depth is None:
-        depth = 2 * bound + 4
-    return hull_generators(lam, g, integrability_set(lam), depth)
+    return hull_generators(lam, g, 2 * bound + 4 if depth is None else depth)
 
 
 def hull_contains(model: HullModel, c: Offset) -> bool:

@@ -24,7 +24,9 @@ from .weights import HighestWeight, Offset, offsets_up_to
 
 LoweringWord = tuple[int, ...]
 
-WORD_BUDGET = 20_000
+# Most words one offset may take.  A2, lambda = (20, 20): offset (6, 6) has 924
+# words (13 s, 270 MiB peak); (7, 7) has 3,432 and exhausts 2 GB of memory.
+WORD_BUDGET = 1_000
 
 
 def word_count(c: Offset) -> int:

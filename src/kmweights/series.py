@@ -98,12 +98,6 @@ class TruncSeries:
     bound: int
     terms: dict[Offset, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        for c, v in self.terms.items():
-            assert v != 0, "zero coefficients must not be stored"
-            assert len(c) == self.rank and min(c) >= 0, f"bad offset {c}"
-            assert ht(c) <= self.bound, f"offset {c} beyond bound {self.bound}"
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")

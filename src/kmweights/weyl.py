@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cartan import GCM, closure, is_finite_type, subdiagram
+from .cartan import GCM, closure, is_finite_type
 from .errors import BudgetExceeded, Inapplicable
 from .weights import (
     HighestWeight,
@@ -166,14 +166,11 @@ def orbit_truncated(
     ])
 
 
-def stabilizer_is_finite(lam: HighestWeight, g: GCM, nodes: Iterable[int]) -> bool:
-    """Whether the stabilizer of lambda in W_J is finite.
+def stabilizer_is_finite(lam: HighestWeight, g: GCM) -> bool:
+    """Whether the stabilizer of lambda in W_{I_lambda} is finite.
 
-    The stabilizer of a J-dominant weight is the standard parabolic on
-    J_0 = {i in J : (h_i, lambda) = 0}; it is finite iff the subdiagram
-    on J_0 is of finite type throughout.
+    The stabilizer of an I_lambda-dominant weight is the standard parabolic
+    on J_0 = {i : (h_i, lambda) = 0}, a subset of I_lambda; it is finite iff
+    the diagram on J_0 is of finite type throughout.
     """
-    j0 = [i for i in nodes if lam.q[i] == 0]
-    if not j0:
-        return True
-    return is_finite_type(subdiagram(g, j0))
+    return is_finite_type(g, [i for i, q in enumerate(lam.q) if q == 0])

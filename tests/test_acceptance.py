@@ -10,7 +10,6 @@ from itertools import combinations
 import pytest
 
 from kmweights.cartan import parse_gcm
-from kmweights.errors import InfiniteStabilizer
 from kmweights.modweights import (
     wt_parabolic_verma,
     wt_parabolic_verma_induced,
@@ -42,11 +41,10 @@ def test_ac1_three_formulas_agree(g, lam):
     ws_slice = wt_simple_slice(lam, g, H)
     ws_hull = wt_simple_hull(lam, g, H)
     assert ws_hull.members == ws_slice.members
-    try:
-        ws_orbit = wt_simple_orbit(lam, g, H)
-        assert ws_orbit.members == ws_slice.members
+    if stabilizer_is_finite(lam, g):
+        assert wt_simple_orbit(lam, g, H).members == ws_slice.members
         orbit_note = "orbit=eq"
-    except InfiniteStabilizer:
+    else:
         orbit_note = "orbit=n/a(infinite stabilizer)"
     _report(f"AC-1 PASS {g.a} q={lam.q} slice=hull {orbit_note}")
 
@@ -63,7 +61,7 @@ def test_ac2_oracle_ground_truth(g, lam):
 @pytest.mark.parametrize("g,lam", CORPUS_CASES)
 def test_ac3_wkw_indicator(g, lam):
     H = 10
-    if not stabilizer_is_finite(lam, g, integrability_set(lam)):
+    if not stabilizer_is_finite(lam, g):
         pytest.skip("infinite stabilizer: criterion applies to finite case only")
     s = wkw_sum(lam, g, H)
     assert set(s.terms.values()) <= {1}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -6,8 +7,8 @@ from kmweights.cartan import (
     DiagramType,
     classify,
     components,
+    is_finite_type,
     parse_gcm,
-    subdiagram,
     symmetrizable,
 )
 from kmweights.errors import InputError
@@ -75,26 +76,28 @@ def test_classify_permutation_invariant():
     assert types == ptypes
 
 
+# A subdiagram is the diagram on a node set, which classify takes.
 def test_subdiagram_fig_left():
-    g = parse_gcm(FIG_LEFT)
-    sub = subdiagram(g, [1, 2])
-    assert sub.a == ((2, -1), (-1, 2))
-    assert sub.labels == ("1", "2")
+    assert classify(parse_gcm(FIG_LEFT), [1, 2]) == [((1, 2), DiagramType.FINITE)]
 
 
 def test_subdiagram_fig_right():
     g = parse_gcm(FIG_RIGHT)
-    assert subdiagram(g, [0, 1]).a == ((2, -2), (-2, 2))
+    assert classify(g, [0, 1]) == [((0, 1), DiagramType.AFFINE)]
+    assert not is_finite_type(g, [0, 1])
 
 
 def test_subdiagram_empty():
-    assert subdiagram(parse_gcm(FIG_LEFT), []).n == 0
+    g = parse_gcm(FIG_LEFT)
+    assert classify(g, []) == []
+    assert is_finite_type(g, [])
 
 
 def test_subdiagram_of_finite_stays_finite():
     g = parse_gcm(FIG_LEFT)
-    for nodes in [[0], [1], [0, 1], [0, 2], [0, 1, 2]]:
-        assert all(t is DiagramType.FINITE for _, t in classify(subdiagram(g, nodes)))
+    for r in range(4):
+        for nodes in combinations(range(3), r):
+            assert is_finite_type(g, nodes)
 
 
 def test_symmetrizable_symmetric_case():

@@ -13,7 +13,6 @@ from kmweights.cli import run
 from kmweights.errors import (
     BudgetExceeded,
     Inapplicable,
-    InfiniteStabilizer,
     InputError,
     KMError,
 )
@@ -338,9 +337,20 @@ def test_weights_oracle_advisory_flag(tmp_path):
         ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"], "labels": ["x", "x"]}, "labels must be distinct"),
         ({"cartan": [[2, -1], [-1, 2]], "lables": ["x", "y"]}, "unknown key 'lables'"),
         ({"cartan": [[2, -1], [-1, 2]], "labels": None}, "labels must be a list of strings, got None"),
+        ([1, 2], "input must be a JSON object with a 'cartan' matrix"),
+        ({"lambda": ["1"]}, "input must be a JSON object with a 'cartan' matrix"),
+        ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1"]}, "lambda has 1 entries, expected 2"),
+        ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1/0", "1"]}, "bad rational in lambda"),
+        ({"cartan": [[2, -1], [-1, 2]], "lambda": ["x", "1"]}, "bad rational in lambda"),
+        ({"cartan": [[2, -1], [-1, 2]]}, "requires a 'lambda' entry"),
+        ({"cartan": [[2, -1, 0], [-1, 2]]}, "row 0 has length 3, expected 2"),
+        ({"cartan": [[2, -1], []]}, "row 1 has length 0, expected 2"),
+        ({"cartan": [[2, 0], [-1]]}, "row 1 has length 1, expected 2"),
     ],
     ids=["float-entry", "lambda-string", "lambda-float", "labels-string", "empty", "bool-entry", "flat",
-         "labels-empty", "labels-duplicate", "unknown-key", "labels-null"],
+         "labels-empty", "labels-duplicate", "unknown-key", "labels-null", "not-object", "no-cartan",
+         "lambda-length", "lambda-zero-denominator", "lambda-not-rational", "lambda-missing",
+         "row-long", "row-empty", "row-short"],
 )
 def test_input_not_coerced_exit_2(tmp_path, doc, message):
     path = write_problem(tmp_path, doc)
@@ -397,7 +407,6 @@ def test_svg_hull_model_built_once(tmp_path, monkeypatch):
     (KMError, 2, "error"),
     (InputError, 2, "input error"),
     (Inapplicable, 3, "method inapplicable"),
-    (InfiniteStabilizer, 3, "method inapplicable"),
     (BudgetExceeded, 4, "budget exceeded"),
 ])
 def test_each_error_type_sets_exit_code_and_prefix(monkeypatch, error, code, prefix):

@@ -12,7 +12,7 @@ from kmweights.modweights import (
     hull_generators,
     wt_simple_hull,
 )
-from kmweights.weights import HighestWeight, integrability_set, offsets_up_to
+from kmweights.weights import HighestWeight, offsets_up_to
 
 from conftest import CORPUS_CASES, small_gcms_and_weights
 
@@ -131,7 +131,7 @@ def test_proofs_that_do_not_check_are_dropped():
 
 
 def _assert_cache_matches_fresh_solves(lam, g, bound, depth):
-    model = hull_generators(lam, g, integrability_set(lam), depth)
+    model = hull_generators(lam, g, depth)
     a = [list(row) for row in model.certificates.a]
     for c in offsets_up_to(g.n, bound):
         fresh = feasible(a, [Fraction(x) for x in c] + [Fraction(1)]) is not None

@@ -128,6 +128,13 @@ def test_budget_checked_before_words_are_built(monkeypatch):
         simple_multiplicity(HighestWeight.of([1, 1]), A2, (6, 6))
 
 
+def test_default_budget_refuses_an_offset_that_exhausts_memory():
+    # A2, lambda = (20, 20): the Gram matrix on the 3,432 words of offset
+    # (7, 7) does not fit in 2 GB of address space.
+    with pytest.raises(BudgetExceeded, match=r"^3432 words at offset \(7, 7\) exceeds 1000$"):
+        simple_multiplicity(HighestWeight.of([20, 20]), A2, (7, 7))
+
+
 @pytest.mark.parametrize("c", [
     (), (0,), (0, 0), (2,), (2, 1), (1, 0, 2), (2, 2, 1), (3, 3), (0, 3), (3, 0, 2),
     (1, 1, 1, 1),

@@ -236,9 +236,9 @@ def test_orbit_closed_within_window():
 
 
 def test_stabilizer_finite_cases():
-    assert stabilizer_is_finite(HighestWeight.of([0, 0]), A2, [0, 1])
-    assert not stabilizer_is_finite(HighestWeight.of([0, 0]), AFF, [0, 1])
-    assert stabilizer_is_finite(HighestWeight.of([1, 0]), AFF, [0, 1])
+    assert stabilizer_is_finite(HighestWeight.of([0, 0]), A2)
+    assert not stabilizer_is_finite(HighestWeight.of([0, 0]), AFF)
+    assert stabilizer_is_finite(HighestWeight.of([1, 0]), AFF)
 
 
 @pytest.mark.parametrize("q", [-1, Fraction(1, 2)])
