@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from fractions import Fraction
 from math import comb
@@ -29,6 +30,9 @@ EXIT_INPUT = 2
 # Most offsets of height <= --height that one command may scan: every output
 # truncated at H is picked from the C(H + n, n) offsets of rank n.
 OFFSET_BUDGET = 10 ** 5
+
+# The spellings of a `lambda` string; Fraction alone also takes "1_0", "1e2", " 1 ".
+RATIONAL = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)", re.ASCII)
 
 
 def load_problem(path: str) -> tuple[GCM, Optional[HighestWeight]]:
@@ -51,6 +55,8 @@ def load_problem(path: str) -> tuple[GCM, Optional[HighestWeight]]:
         # A JSON float is already rounded to binary, so only exact spellings pass.
         if bad := [v for v in doc["lambda"] if type(v) not in (str, int)]:
             raise InputError(f"lambda entries must be strings or integers, got {bad[0]!r}")
+        if bad := [v for v in doc["lambda"] if type(v) is str and not RATIONAL.fullmatch(v)]:
+            raise InputError(f"bad rational in lambda: {bad[0]!r}")
         try:
             vals = [Fraction(v) for v in doc["lambda"]]
         except (ValueError, ZeroDivisionError) as exc:

@@ -90,14 +90,9 @@ def wt_integrable(
         qi = lam.q[i]
         if qi.denominator != 1 or qi < 0:
             raise Inapplicable(f"(h_{i}, lambda) = {qi}")
-    members: set[Offset] = set()
-    for c in offsets_up_to(g.n, bound, nodes):
-        if not in_parabolic_dominant(lam, g, c, nodes):
-            continue
-        if not _nondegenerate(lam, g, c):
-            continue
-        members |= orbit_truncated(lam, g, nodes, c, bound)
-    return WeightSet(frozenset(members))
+    seeds = [c for c in offsets_up_to(g.n, bound, nodes)
+             if in_parabolic_dominant(lam, g, c, nodes) and _nondegenerate(lam, g, c)]
+    return WeightSet(frozenset(orbit_truncated(lam, g, nodes, seeds, bound)))
 
 
 def _shifted(lam: HighestWeight, g: GCM, b: Offset) -> HighestWeight:
@@ -120,11 +115,8 @@ def wt_simple_orbit(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
         raise Inapplicable(
             "lambda has infinite stabilizer in the integrable Weyl subgroup"
         )
-    members: set[Offset] = set()
-    for c in offsets_up_to(g.n, bound):
-        if in_parabolic_dominant(lam, g, c, ilam):
-            members |= orbit_truncated(lam, g, ilam, c, bound)
-    return WeightSet(frozenset(members))
+    seeds = [c for c in offsets_up_to(g.n, bound) if in_parabolic_dominant(lam, g, c, ilam)]
+    return WeightSet(frozenset(orbit_truncated(lam, g, ilam, seeds, bound)))
 
 
 def hull_generators(lam: HighestWeight, g: GCM, depth: int) -> HullModel:

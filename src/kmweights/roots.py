@@ -1,23 +1,18 @@
-"""Real and imaginary roots up to a height bound."""
+"""Real and imaginary roots up to a height bound: W-orbits at lambda = 0."""
 
 from __future__ import annotations
 
-from .cartan import GCM, closure, components
-from .weights import SignedOffset, cartan_pairing, ht, is_positive, offsets_up_to, unit
-from .weyl import reflect
-
-
-def _orbits_up_to(g: GCM, seeds: list[SignedOffset], height: int) -> set[SignedOffset]:
-    """Positive images of `seeds` under simple reflections, of ht <= height.  This
-    holds every root of ht <= height whose height-lowering descent ends in a seed."""
-    return closure(seeds, lambda c: [
-        t for i in range(g.n) if is_positive(t := reflect(g, i, c)) and ht(t) <= height
-    ])
+from .cartan import GCM, components
+from .weights import HighestWeight, SignedOffset, cartan_pairing, offsets_up_to, unit
+from .weyl import orbit_truncated
 
 
 def positive_real_up_to(g: GCM, height: int) -> set[SignedOffset]:
-    """All positive real roots of height <= `height`: the orbits of the simple roots."""
-    return _orbits_up_to(g, [unit(g.n, i) for i in range(g.n)] if height >= 1 else [], height)
+    """All positive real roots of height <= `height`: the orbits of the simple roots.
+    At lambda = 0, `reflect_weight` is s_i on the root lattice, and the images
+    it drops are those that leave the positive cone."""
+    return orbit_truncated(HighestWeight.of([0] * g.n), g, range(g.n),
+                           [unit(g.n, i) for i in range(g.n)], height)
 
 
 def positive_imaginary_up_to(g: GCM, height: int) -> set[SignedOffset]:
@@ -30,4 +25,4 @@ def positive_imaginary_up_to(g: GCM, height: int) -> set[SignedOffset]:
     fundamental = [c for c in offsets_up_to(g.n, height) if any(c)
                    and all(cartan_pairing(g, c, i) <= 0 for i in range(g.n))
                    and len(components(g, [i for i, x in enumerate(c) if x])) == 1]
-    return _orbits_up_to(g, fundamental, height)
+    return orbit_truncated(HighestWeight.of([0] * g.n), g, range(g.n), fundamental, height)

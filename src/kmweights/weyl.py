@@ -43,13 +43,6 @@ def identity(n: int) -> GroupElement:
     return GroupElement((), tuple(unit(n, i) for i in range(n)), zero_offset(n))
 
 
-def reflect(g: GCM, i: int, v: Sequence[int]) -> SignedOffset:
-    """s_i on the root lattice: alpha_j -> alpha_j - a_ij alpha_i."""
-    out = list(v)
-    out[i] -= cartan_pairing(g, v, i)
-    return tuple(out)
-
-
 def reflect_weight(
     lam: HighestWeight, g: GCM, i: int, c: Sequence[int]
 ) -> Optional[Offset]:
@@ -151,16 +144,19 @@ def orbit_truncated(
     lam: HighestWeight,
     g: GCM,
     nodes: Iterable[int],
-    c: Offset,
+    seeds: Iterable[Offset],
     height: int,
 ) -> set[Offset]:
-    """W_J-orbit of a J-dominant offset, truncated at ht <= height.
+    """W_J-orbits of `seeds`, J = nodes, truncated at ht <= height.
 
-    Sound because height is nondecreasing along the weak order from a
-    dominant start.
+    The closure of the seeds of ht <= height under s_i, i in J, keeping the
+    images of ht <= height.  The pruning loses nothing when the seeds are
+    J-dominant, as height is nondecreasing along the weak order from a
+    dominant start; and at lambda = 0 with the seeds Pi or K, as every
+    positive root descends to a seed by height-lowering reflections.
     """
     nodes = list(nodes)
-    return closure([tuple(c)] if ht(c) <= height else [], lambda cur: [
+    return closure([tuple(c) for c in seeds if ht(c) <= height], lambda cur: [
         img for i in nodes
         if (img := reflect_weight(lam, g, i, cur)) is not None and ht(img) <= height
     ])

@@ -43,7 +43,7 @@ def corpus():
             yield name, g, lam, qs
 
 
-PAIRINGS = [0, 1, 2, Fraction(-1, 2), Fraction(-3, 2), Fraction(1, 3)]
+PAIRINGS = [0, 1, 2, -1, Fraction(-1, 2), Fraction(-3, 2), Fraction(1, 3)]
 
 
 @st.composite
@@ -58,6 +58,14 @@ def small_gcms_and_weights(draw):
                 a[j][i] = draw(st.sampled_from([-1, -2, -3]))
     q = draw(st.lists(st.sampled_from(PAIRINGS), min_size=n, max_size=n))
     return parse_gcm(a), HighestWeight.of(q)
+
+
+def reflect(g, i, v):
+    """s_i on the root lattice, alpha_j -> alpha_j - a_ij alpha_i: a reference
+    written apart from the offset reflection of kmweights.weyl."""
+    out = list(v)
+    out[i] -= sum(g.a[i][j] * v[j] for j in range(g.n))
+    return tuple(out)
 
 
 def apply(w, v):

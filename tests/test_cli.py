@@ -342,6 +342,10 @@ def test_weights_oracle_advisory_flag(tmp_path):
         ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1"]}, "lambda has 1 entries, expected 2"),
         ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1/0", "1"]}, "bad rational in lambda"),
         ({"cartan": [[2, -1], [-1, 2]], "lambda": ["x", "1"]}, "bad rational in lambda"),
+        ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1_0", "1"]}, "bad rational in lambda: '1_0'"),
+        ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1e2", "1"]}, "bad rational in lambda: '1e2'"),
+        ({"cartan": [[2, -1], [-1, 2]], "lambda": [" 1 ", "1"]}, "bad rational in lambda: ' 1 '"),
+        ({"cartan": [[2, -1], [-1, 2]], "lambda": ["1" * 5000, "1"]}, "bad rational in lambda"),
         ({"cartan": [[2, -1], [-1, 2]]}, "requires a 'lambda' entry"),
         ({"cartan": [[2, -1, 0], [-1, 2]]}, "row 0 has length 3, expected 2"),
         ({"cartan": [[2, -1], []]}, "row 1 has length 0, expected 2"),
@@ -349,7 +353,8 @@ def test_weights_oracle_advisory_flag(tmp_path):
     ],
     ids=["float-entry", "lambda-string", "lambda-float", "labels-string", "empty", "bool-entry", "flat",
          "labels-empty", "labels-duplicate", "unknown-key", "labels-null", "not-object", "no-cartan",
-         "lambda-length", "lambda-zero-denominator", "lambda-not-rational", "lambda-missing",
+         "lambda-length", "lambda-zero-denominator", "lambda-not-rational", "lambda-underscore",
+         "lambda-exponent", "lambda-spaces", "lambda-digits-over-int-limit", "lambda-missing",
          "row-long", "row-empty", "row-short"],
 )
 def test_input_not_coerced_exit_2(tmp_path, doc, message):
@@ -358,6 +363,12 @@ def test_input_not_coerced_exit_2(tmp_path, doc, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_lambda_spellings_parse_exactly(tmp_path):
+    doc = {"cartan": [[2, 0, 0], [0, 2, 0], [0, 0, 2]], "lambda": ["-7/2", "+1", "0.5"]}
+    _, lam = cli.load_problem(write_problem(tmp_path, doc))
+    assert lam.q == (Fraction(-7, 2), Fraction(1), Fraction(1, 2))
 
 
 def test_negative_height_exit_2(tmp_path):

@@ -3,10 +3,9 @@ from hypothesis import given, settings
 
 from kmweights.cartan import components, parse_gcm
 from kmweights.roots import positive_imaginary_up_to, positive_real_up_to
-from kmweights.weyl import reflect
 from kmweights.weights import cartan_pairing, is_positive, offsets_up_to
 
-from conftest import small_gcms_and_weights
+from conftest import reflect, small_gcms_and_weights
 
 A2 = parse_gcm([[2, -1], [-1, 2]])
 A3 = parse_gcm([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])

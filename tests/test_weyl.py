@@ -14,6 +14,7 @@ from kmweights.weights import (
     integrability_set,
     is_negative,
     is_positive,
+    offsets_up_to,
     pairing,
 )
 from kmweights.weyl import (
@@ -22,12 +23,11 @@ from kmweights.weyl import (
     identity,
     min_summand_height,
     orbit_truncated,
-    reflect,
     reflect_weight,
     stabilizer_is_finite,
 )
 
-from conftest import apply, small_gcms_and_weights
+from conftest import apply, reflect, small_gcms_and_weights
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -63,7 +63,7 @@ def test_reflect_weight_nonintegral_raises():
     with pytest.raises(Inapplicable):
         reflect_weight(lam, A1, 0, (0,))
     with pytest.raises(Inapplicable):
-        orbit_truncated(lam, A1, [0], (0,), 10)
+        orbit_truncated(lam, A1, [0], [(0,)], 10)
 
 
 def test_reflect_weight_above_lambda_marker():
@@ -194,21 +194,21 @@ def test_enumerate_group_is_a_tree_of_reduced_words(case, data):
 
 def test_orbit_sl2():
     lam = HighestWeight.of([3])
-    assert orbit_truncated(lam, A1, [0], (0,), 10) == {(0,), (3,)}
-    assert orbit_truncated(lam, A1, [0], (0,), 2) == {(0,)}
-    assert orbit_truncated(lam, A1, [0], (3,), 2) == set()
+    assert orbit_truncated(lam, A1, [0], [(0,)], 10) == {(0,), (3,)}
+    assert orbit_truncated(lam, A1, [0], [(0,)], 2) == {(0,)}
+    assert orbit_truncated(lam, A1, [0], [(3,)], 2) == set()
 
 
 def test_orbit_zero_weight_fixed():
     lam = HighestWeight.of([1, 1])
-    assert orbit_truncated(lam, A2, [0, 1], (1, 1), 10) == {(1, 1)}
+    assert orbit_truncated(lam, A2, [0, 1], [(1, 1)], 10) == {(1, 1)}
 
 
 def test_orbit_regular_weight_adjoint():
     # Orbit of lambda - alpha_0 in the adjoint of A2: six offsets (brute
     # force below recomputes it by closing under reflections).
     lam = HighestWeight.of([1, 1])
-    got = orbit_truncated(lam, A2, [0, 1], (1, 0), 10)
+    got = orbit_truncated(lam, A2, [0, 1], [(1, 0)], 10)
     brute = {(1, 0)}
     while True:
         new = set(brute)
@@ -227,12 +227,32 @@ def test_orbit_regular_weight_adjoint():
 def test_orbit_closed_within_window():
     lam = HighestWeight.of([1, 0])
     H = 8
-    orb = orbit_truncated(lam, AFF, [0, 1], (0, 0), H)
+    orb = orbit_truncated(lam, AFF, [0, 1], [(0, 0)], H)
     for c in orb:
         for i in (0, 1):
             img = reflect_weight(lam, AFF, i, c)
             if img is not None and ht(img) <= H:
                 assert img in orb
+
+
+def test_orbit_drops_seeds_above_height():
+    lam = HighestWeight.of([1, 1])
+    seeds = [(0, 0), (1, 1)]  # both dominant; (1, 1) has height 2
+    assert orbit_truncated(lam, A2, [0, 1], seeds, 1) == {(0, 0), (1, 0), (0, 1)}
+    assert (1, 1) in orbit_truncated(lam, A2, [0, 1], seeds, 2)
+
+
+@given(small_gcms_and_weights(), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_orbit_of_seeds_is_union_of_single_orbits(case, height):
+    g, lam = case
+    nodes = sorted(integrability_set(lam))
+    # Seeds up to height + 2, so some lie above the bound and must drop out.
+    seeds = [c for c in offsets_up_to(g.n, height + 2) if in_parabolic_dominant(lam, g, c, nodes)]
+    union = set()
+    for c in seeds:
+        union |= orbit_truncated(lam, g, nodes, [c], height)
+    assert orbit_truncated(lam, g, nodes, seeds, height) == union
 
 
 def test_stabilizer_finite_cases():
