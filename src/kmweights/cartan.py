@@ -143,23 +143,21 @@ def is_finite_type(g: GCM, nodes: Optional[Iterable[int]] = None) -> bool:
 def symmetrizable(g: GCM) -> Optional[tuple[Fraction, ...]]:
     """A positive rational diagonal d with d_i a_ij = d_j a_ji, or None.
 
-    Propagates d along diagram edges; a cycle with inconsistent
-    proportionality makes the matrix non-symmetrizable.
+    Spreads d along diagram edges from each node not yet reached, then checks
+    every edge: a cycle with inconsistent proportionality fails the check.
     """
-    d: list[Optional[Fraction]] = [None] * g.n
-    for comp in components(g):
-        root = comp[0]
-        d[root] = Fraction(1)
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in g.neighbors(i):
-                want = d[i] * Fraction(g.a[i][j], g.a[j][i])
-                if d[j] is None:
-                    d[j] = want
-                    stack.append(j)
-                elif d[j] != want:
-                    return None
-    # Every node was reached from the first node of its component and every
-    # edge was checked from both ends, so d_i a_ij = d_j a_ji for all i, j.
-    return tuple(d)  # type: ignore[arg-type]
+    d: dict[int, Fraction] = {}
+
+    def spread(i: int) -> list[int]:
+        new = [j for j in g.neighbors(i) if j not in d]
+        for j in new:
+            d[j] = d[i] * Fraction(g.a[i][j], g.a[j][i])
+        return new
+
+    for i in range(g.n):
+        if i not in d:
+            d[i] = Fraction(1)
+            closure([i], spread)
+    if all(d[i] * g.a[i][j] == d[j] * g.a[j][i] for i in d for j in g.neighbors(i)):
+        return tuple(d[i] for i in range(g.n))
+    return None

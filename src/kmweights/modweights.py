@@ -71,10 +71,22 @@ class HullModel:
         return Certificates(a)
 
 
-def _nondegenerate(lam: HighestWeight, g: GCM, c: Offset) -> bool:
-    """Every connected component of supp(c) meets a node with (h_i, lambda) != 0."""
-    supp = [i for i, x in enumerate(c) if x != 0]
-    return all(any(lam.q[i] != 0 for i in comp) for comp in components(g, supp))
+def _slices(lam: HighestWeight, g: GCM, nodes: Iterable[int], bound: int,
+            support: Optional[Iterable[int]] = None) -> WeightSet:
+    """W_J-closure at lambda, J = nodes, of the seeds c of ht <= bound on `support`:
+    J-dominant, and nondegenerate against lambda - b, b = c off J (each component
+    of supp(c) in J meets an i with (h_i, lambda - b) != 0).  s_i, i in J, moves
+    only c_i, so a W_J-orbit is b plus the orbit of c - b at lambda - b.
+    """
+    nodes = sorted(nodes)
+    seeds = []
+    for c in offsets_up_to(g.n, bound, support):
+        if in_parabolic_dominant(lam, g, c, nodes):
+            b = [0 if i in nodes else x for i, x in enumerate(c)]
+            if all(any(pairing(lam, g, b, i) != 0 for i in comp)
+                   for comp in components(g, [i for i in nodes if c[i]])):
+                seeds.append(c)
+    return WeightSet(frozenset(orbit_truncated(lam, g, nodes, seeds, bound)))
 
 
 def wt_integrable(
@@ -86,18 +98,7 @@ def wt_integrable(
     offsets are full-rank but supported on J.
     """
     nodes = sorted(nodes)
-    for i in nodes:
-        qi = lam.q[i]
-        if qi.denominator != 1 or qi < 0:
-            raise Inapplicable(f"(h_{i}, lambda) = {qi}")
-    seeds = [c for c in offsets_up_to(g.n, bound, nodes)
-             if in_parabolic_dominant(lam, g, c, nodes) and _nondegenerate(lam, g, c)]
-    return WeightSet(frozenset(orbit_truncated(lam, g, nodes, seeds, bound)))
-
-
-def _shifted(lam: HighestWeight, g: GCM, b: Offset) -> HighestWeight:
-    """Pairings of lambda - sum b_i alpha_i."""
-    return HighestWeight(tuple(pairing(lam, g, b, i) for i in range(g.n)))
+    return _slices(lam, g, nodes, bound, nodes)
 
 
 def wt_simple_slice(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
@@ -188,17 +189,11 @@ def wt_parabolic_verma(
 ) -> WeightSet:
     """Weights of the parabolic Verma module M(lambda, J), J = nodes.
 
-    Slice construction with J in place of I_lambda: the union over b
-    supported off J of b + wt_integrable(lambda - b).  J must be contained
-    in the integrability set; `wt_integrable` at b = 0 raises Inapplicable
-    otherwise.
+    Slice construction with J in place of I_lambda: the union over b supported
+    off J of b + wt_integrable(lambda - b), as one `_slices` closure at lambda.
+    Raises Inapplicable unless J lies in the integrability set.
     """
-    nodes = sorted(nodes)
-    members: set[Offset] = set()
-    for b in offsets_up_to(g.n, bound, set(range(g.n)) - set(nodes)):
-        inner = wt_integrable(_shifted(lam, g, b), g, nodes, bound - ht(b))
-        members.update(add(b, c) for c in inner.members)
-    return WeightSet(frozenset(members))
+    return _slices(lam, g, nodes, bound)
 
 
 def wt_parabolic_verma_induced(

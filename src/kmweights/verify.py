@@ -179,10 +179,8 @@ def check_integrability_invariants(lam: HighestWeight, g: GCM, bound: int) -> Re
     ws = wt_simple_slice(lam, g, bound)
 
     def inside(i: int, c: Offset) -> bool:
-        if lam.q[i].denominator != 1:  # s_i leaves lambda - Z Delta
-            return False
         img = reflect_weight(lam, g, i, c)
-        # None marks a reflection that escapes mu <= lambda.
+        # None marks a reflection that leaves lambda - Q_+.
         return img is not None and (ht(img) > bound or img in ws.members)
 
     preserving = [i for i in range(g.n) if all(inside(i, c) for c in ws.members)]

@@ -16,7 +16,6 @@ from .weights import (
     ht,
     is_negative,
     is_positive,
-    pairing,
     unit,
     zero_offset,
 )
@@ -46,19 +45,23 @@ def identity(n: int) -> GroupElement:
 def reflect_weight(
     lam: HighestWeight, g: GCM, i: int, c: Sequence[int]
 ) -> Optional[Offset]:
-    """Offset of s_i(lambda - c); None marks an image above lambda.
+    """Offset of s_i(lambda - c), or None when it is not lambda - c' with c' >= 0.
 
-    Raises Inapplicable when (h_i, mu) is not an integer: s_i leaves lambda - Z Delta.
+    None marks an image above lambda or a non-integral (h_i, lambda - c).
     """
     q = lam.q[i]
-    if q.denominator != 1:
-        p = pairing(lam, g, c, i)
-        raise Inapplicable(f"(h_{i}, mu) = {p} not an integer")
     out = list(c)
     out[i] += q.numerator - cartan_pairing(g, c, i)
-    if out[i] < 0:
-        return None
-    return tuple(out)
+    return tuple(out) if q.denominator == 1 and out[i] >= 0 else None
+
+
+def levi_nodes(lam: HighestWeight, nodes: Iterable[int]) -> list[int]:
+    """J = nodes sorted, checked to lie in I_lambda, so that W_J acts on lambda - Q_+."""
+    nodes = sorted(nodes)
+    for i in nodes:
+        if lam.q[i].denominator != 1 or lam.q[i] < 0:
+            raise Inapplicable(f"(h_{i}, lambda) = {lam.q[i]}")
+    return nodes
 
 
 def min_summand_height(w: GroupElement) -> int:
@@ -78,11 +81,8 @@ def _extend(lam: HighestWeight, g: GCM, w: GroupElement, i: int) -> GroupElement
         tuple(w.simple_images[j][k] - g.a[i][j] * img_i[k] for k in range(n))
         for j in range(n)
     )
-    qi = lam.q[i]
-    if qi.denominator != 1 or qi < 0:
-        raise Inapplicable(f"(h_{i}, lambda) = {qi}: cannot extend by s_{i}")
-    # qi >= 0 and w alpha_i > 0, so the displacement height cannot fall.
-    d = add(w.displacement, tuple(int(qi) * x for x in img_i))
+    # q_i >= 0 (levi_nodes) and w alpha_i > 0, so the displacement height cannot fall.
+    d = add(w.displacement, tuple(lam.q[i].numerator * x for x in img_i))
     return GroupElement(w.word + (i,), new_images, d)
 
 
@@ -104,8 +104,9 @@ def enumerate_group(
     (w alpha_d < 0), so w.word[:-1] is the parent's word.  Raises
     BudgetExceeded if the cap is hit while some frontier element is still
     inside the height bound, or once element WEYL_BUDGET + 1 is built.
+    Raises Inapplicable, before the identity, unless J lies in I_lambda.
     """
-    nodes = sorted(nodes)
+    nodes = levi_nodes(lam, nodes)
     if cap is None:
         cap = (10 * height + 64) if height is not None else 64
     frontier = [identity(g.n)]
@@ -154,8 +155,9 @@ def orbit_truncated(
     J-dominant, as height is nondecreasing along the weak order from a
     dominant start; and at lambda = 0 with the seeds Pi or K, as every
     positive root descends to a seed by height-lowering reflections.
+    Raises Inapplicable unless J lies in I_lambda.
     """
-    nodes = list(nodes)
+    nodes = levi_nodes(lam, nodes)
     return closure([tuple(c) for c in seeds if ht(c) <= height], lambda cur: [
         img for i in nodes
         if (img := reflect_weight(lam, g, i, cur)) is not None and ht(img) <= height

@@ -47,17 +47,24 @@ PAIRINGS = [0, 1, 2, -1, Fraction(-1, 2), Fraction(-3, 2), Fraction(1, 3)]
 
 
 @st.composite
-def small_gcms_and_weights(draw):
-    """A random GCM of rank <= 3 (symmetric zero pattern) and highest weight."""
-    n = draw(st.integers(1, 3))
+def small_gcms(draw, max_rank=3):
+    """A random GCM of rank <= max_rank with a symmetric zero pattern."""
+    n = draw(st.integers(1, max_rank))
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             a[i][j] = draw(st.sampled_from([0, -1, -2, -3]))
             if a[i][j]:
                 a[j][i] = draw(st.sampled_from([-1, -2, -3]))
-    q = draw(st.lists(st.sampled_from(PAIRINGS), min_size=n, max_size=n))
-    return parse_gcm(a), HighestWeight.of(q)
+    return parse_gcm(a)
+
+
+@st.composite
+def small_gcms_and_weights(draw):
+    """A random GCM of rank <= 3 (symmetric zero pattern) and highest weight."""
+    g = draw(small_gcms())
+    q = draw(st.lists(st.sampled_from(PAIRINGS), min_size=g.n, max_size=g.n))
+    return g, HighestWeight.of(q)
 
 
 def reflect(g, i, v):

@@ -1,7 +1,9 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
+from hypothesis import given, settings
 
 from kmweights.cartan import (
     DiagramType,
@@ -12,6 +14,8 @@ from kmweights.cartan import (
     symmetrizable,
 )
 from kmweights.errors import InputError
+
+from conftest import small_gcms
 
 FIG_LEFT = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 FIG_RIGHT = [[2, -2, -1], [-2, 2, 0], [-1, 0, 2]]
@@ -119,6 +123,24 @@ def test_symmetrizer_witness_is_exact(matrix):
         assert d[i] > 0
         for j in range(g.n):
             assert d[i] * g.a[i][j] == d[j] * g.a[j][i]
+
+
+@given(small_gcms(max_rank=4))
+@settings(max_examples=200, deadline=None)
+def test_symmetrizable_iff_cycle_products_agree(g):
+    # Kac, Ex. 2.1: A is symmetrizable iff every cycle i1, ..., ik of distinct
+    # nodes has a_{i1 i2} ... a_{ik i1} = a_{i2 i1} ... a_{i1 ik}.
+    def cycle_ok(cyc):
+        steps = list(zip(cyc, cyc[1:] + cyc[:1]))
+        return prod(g.a[i][j] for i, j in steps) == prod(g.a[j][i] for i, j in steps)
+
+    cycles = [cyc for k in range(3, g.n + 1) for cyc in permutations(range(g.n), k)]
+    d = symmetrizable(g)
+    assert (d is None) == (not all(cycle_ok(cyc) for cyc in cycles))
+    if d is not None:
+        assert all(x > 0 for x in d)
+        pairs = [(i, j) for i in range(g.n) for j in range(g.n)]
+        assert all(d[i] * g.a[i][j] == d[j] * g.a[j][i] for i, j in pairs)
 
 
 def test_components_of_whole_diagram():

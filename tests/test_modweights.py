@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmweights.cartan import parse_gcm
 from kmweights.errors import Inapplicable
@@ -18,7 +19,14 @@ from kmweights.modweights import (
     wt_simple_orbit,
     wt_simple_slice,
 )
-from kmweights.weights import HighestWeight, ht, integrability_set
+from kmweights.weights import (
+    HighestWeight,
+    add,
+    ht,
+    integrability_set,
+    offsets_up_to,
+    pairing,
+)
 from kmweights.weyl import stabilizer_is_finite
 
 from conftest import small_gcms_and_weights
@@ -230,3 +238,22 @@ def test_slice_hull_and_orbit_agree_on_random_gcms(case):
     assert wt_simple_hull(lam, g, bound).members == members
     if stabilizer_is_finite(lam, g):
         assert wt_simple_orbit(lam, g, bound).members == members
+
+
+@given(small_gcms_and_weights(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_parabolic_verma_is_union_of_slices_for_every_j(case, data):
+    # The slice formula read literally: for each b >= 0 supported off J, the
+    # Levi weights at lambda - b, shifted by b.
+    g, lam = case
+    bound = H_BY_RANK[g.n]
+    nodes = sorted(data.draw(st.sets(st.integers(0, g.n - 1))) & integrability_set(lam))
+    union = set()
+    for b in offsets_up_to(g.n, bound, set(range(g.n)) - set(nodes)):
+        shifted = HighestWeight(tuple(pairing(lam, g, b, i) for i in range(g.n)))
+        inner = wt_integrable(shifted, g, nodes, bound - ht(b)).members
+        union |= {add(b, c) for c in inner}
+    members = wt_parabolic_verma(lam, g, nodes, bound).members
+    assert members == union
+    levi = {c for c in members if all(c[i] == 0 for i in range(g.n) if i not in nodes)}
+    assert wt_integrable(lam, g, nodes, bound).members == levi
