@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import InputError
 from .lp import feasible
-
-T = TypeVar("T", bound=Hashable)
 
 
 class DiagramType(enum.Enum):
@@ -19,38 +16,36 @@ class DiagramType(enum.Enum):
     INDEFINITE = "Indefinite"
 
 
-@dataclass(frozen=True)
 class GCM:
-    """An n x n generalized Cartan matrix with string node labels.
+    """An n x n generalized Cartan matrix with string node labels, "0"..."n-1" by default.
 
     Axioms: a[i][i] = 2, a[i][j] <= 0 off the diagonal, and
     a[i][j] = 0 iff a[j][i] = 0.
     """
 
-    a: tuple[tuple[int, ...], ...]
-    labels: Optional[tuple[str, ...]] = None
+    __slots__ = ("a", "labels")
 
-    def __post_init__(self):
-        n = len(self.a)
-        if self.labels is None:
-            object.__setattr__(self, "labels", tuple(str(i) for i in range(n)))
-        if len(self.labels) != n:
-            raise InputError(f"expected {n} labels, got {len(self.labels)}")
-        if len(set(self.labels)) != n:
+    def __init__(self, a: tuple[tuple[int, ...], ...],
+                 labels: tuple[str, ...] | None = None):
+        n = len(a)
+        if labels is None:
+            labels = tuple(str(i) for i in range(n))
+        if len(labels) != n:
+            raise InputError(f"expected {n} labels, got {len(labels)}")
+        if len(set(labels)) != n:
             raise InputError("labels must be distinct")
-        for i, row in enumerate(self.a):
+        for i, row in enumerate(a):
             if len(row) != n:
                 raise InputError(f"row {i} has length {len(row)}, expected {n}")
-        for i, row in enumerate(self.a):
+        for i, row in enumerate(a):
             if row[i] != 2:
                 raise InputError(f"a[{i}][{i}] = {row[i]} != 2")
             for j, v in enumerate(row):
                 if i != j and v > 0:
                     raise InputError(f"a[{i}][{j}] = {v} > 0")
-                if i != j and (v == 0) != (self.a[j][i] == 0):
-                    raise InputError(
-                        f"a[{i}][{j}] = {v} but a[{j}][{i}] = {self.a[j][i]}"
-                    )
+                if i != j and (v == 0) != (a[j][i] == 0):
+                    raise InputError(f"a[{i}][{j}] = {v} but a[{j}][{i}] = {a[j][i]}")
+        self.a, self.labels = a, labels
 
     @property
     def n(self) -> int:
@@ -60,7 +55,7 @@ class GCM:
         return [j for j in range(self.n) if j != i and self.a[i][j] != 0]
 
 
-def parse_gcm(matrix: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> GCM:
+def parse_gcm(matrix: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> GCM:
     """Validate a non-empty integer matrix (nested lists) as a GCM.
 
     Entries must be integers and labels strings; nothing is coerced, so
@@ -83,7 +78,7 @@ def parse_gcm(matrix: Sequence[Sequence[int]], labels: Optional[Sequence[str]] =
                None if labels is None else tuple(labels))
 
 
-def components(g: GCM, nodes: Optional[Iterable[int]] = None) -> list[tuple[int, ...]]:
+def components(g: GCM, nodes: Iterable[int] | None = None) -> list[tuple[int, ...]]:
     """Connected components of the Dynkin diagram on `nodes` (default: all).
 
     Each component is sorted; components come in order of their least node.
@@ -97,7 +92,7 @@ def components(g: GCM, nodes: Optional[Iterable[int]] = None) -> list[tuple[int,
     return out
 
 
-def closure(seeds: Iterable[T], successors: Callable[[T], Iterable[T]]) -> set[T]:
+def closure(seeds: Iterable[Hashable], successors: Callable[[Hashable], Iterable]) -> set:
     """Everything reachable from `seeds` by repeated `successors`, seeds included.
 
     Breadth-first; each element is expanded once.
@@ -130,17 +125,17 @@ def _component_type(g: GCM, nodes: tuple[int, ...]) -> DiagramType:
 
 
 def classify(
-    g: GCM, nodes: Optional[Iterable[int]] = None
+    g: GCM, nodes: Iterable[int] | None = None
 ) -> list[tuple[tuple[int, ...], DiagramType]]:
     """Label each component of the diagram on `nodes` (default: all) by its type."""
     return [(comp, _component_type(g, comp)) for comp in components(g, nodes)]
 
 
-def is_finite_type(g: GCM, nodes: Optional[Iterable[int]] = None) -> bool:
+def is_finite_type(g: GCM, nodes: Iterable[int] | None = None) -> bool:
     return all(t is DiagramType.FINITE for _, t in classify(g, nodes))
 
 
-def symmetrizable(g: GCM) -> Optional[tuple[Fraction, ...]]:
+def symmetrizable(g: GCM) -> tuple[Fraction, ...] | None:
     """A positive rational diagonal d with d_i a_ij = d_j a_ji, or None.
 
     Spreads d along diagram edges from each node not yet reached, then checks

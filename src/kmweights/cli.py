@@ -14,14 +14,15 @@ import contextlib
 import json
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import Any, Optional, Sequence
+from operator import mul
 
 from . import modweights, oracle, roots, series, verify
 from .cartan import GCM, classify, parse_gcm, symmetrizable
 from .errors import BudgetExceeded, InputError, KMError
-from .weights import HighestWeight, neg, pairing
+from .weights import HighestWeight, Offset, neg
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -35,7 +36,7 @@ OFFSET_BUDGET = 10 ** 5
 RATIONAL = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)", re.ASCII)
 
 
-def load_problem(path: str) -> tuple[GCM, Optional[HighestWeight]]:
+def load_problem(path: str) -> tuple[GCM, HighestWeight | None]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -67,7 +68,7 @@ def load_problem(path: str) -> tuple[GCM, Optional[HighestWeight]]:
     return g, lam
 
 
-def _need_lambda(lam: Optional[HighestWeight]) -> HighestWeight:
+def _need_lambda(lam: HighestWeight | None) -> HighestWeight:
     if lam is None:
         raise InputError("this command requires a 'lambda' entry in the input")
     return lam
@@ -75,13 +76,13 @@ def _need_lambda(lam: Optional[HighestWeight]) -> HighestWeight:
 
 def _weight_set_json(
     args, lam: HighestWeight, g: GCM, ws: modweights.WeightSet
-) -> dict[str, Any]:
+) -> dict[str, object]:
     members = sorted(ws.members)
-    out: dict[str, Any] = {
+    out: dict[str, object] = {
         "method": args.method,
         "height": args.height,
         "offsets": [list(c) for c in members],
-        "pairings": [[str(pairing(lam, g, c, i)) for i in range(g.n)] for c in members],
+        "pairings": _pairing_texts(lam, g, members),
     }
     if args.method == "hull":
         if args.depth is not None:
@@ -90,6 +91,15 @@ def _weight_set_json(
     if args.method == "oracle":
         out["advisory"] = symmetrizable(g) is None
     return out
+
+
+def _pairing_texts(lam: HighestWeight, g: GCM, members: list[Offset]) -> list[list[str]]:
+    """str(pairing(lam, g, c, i)) for each member c and node i, from integers:
+    for q_i = p/d in lowest terms the pairing is v/d, v = p - d (A c)_i, and
+    gcd(v, d) = gcd(p, d) = 1, so v/d is in lowest terms too."""
+    nodes = [(q.numerator, q.denominator, row) for q, row in zip(lam.q, g.a)]
+    return [[str(p - d * sum(map(mul, row, c))) + (f"/{d}" if d > 1 else "")
+             for p, d, row in nodes] for c in members]
 
 
 def _default_projection(n: int) -> list[list[Fraction]]:
@@ -177,7 +187,7 @@ def _convex_hull_2d(
     return half(pts) + half(reversed(pts))
 
 
-def _emit(doc: Any, out) -> None:
+def _emit(doc: object, out) -> None:
     json.dump(doc, out, indent=2, sort_keys=True)
     out.write("\n")
 

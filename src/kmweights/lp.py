@@ -22,11 +22,10 @@ stored, and a basis each time it decides a new b'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Optional, Sequence
 
 Vector = Sequence[Rational]
 
@@ -69,7 +68,6 @@ def independent_rows(rows: Sequence[Vector]) -> list[int]:
     return kept
 
 
-@dataclass
 class Proof:
     """What one `feasible` solve leaves besides its answer, not yet checked.
 
@@ -78,15 +76,16 @@ class Proof:
     (B^-1 = inverse / scale in the caller's rows) when it is feasible.
     """
 
-    farkas: Optional[list[int]] = None
-    basis: Optional[list[int]] = None
-    inverse: Optional[list[list[int]]] = None
-    scale: int = 1
+    __slots__ = ("farkas", "basis", "inverse", "scale")
+
+    def __init__(self, farkas: list[int] | None = None, basis: list[int] | None = None,
+                 inverse: list[list[int]] | None = None, scale: int = 1):
+        self.farkas, self.basis, self.inverse, self.scale = farkas, basis, inverse, scale
 
 
 def feasible(
-    a: Sequence[Vector], b: Vector, proof: Optional[Proof] = None
-) -> Optional[list[Fraction]]:
+    a: Sequence[Vector], b: Vector, proof: Proof | None = None
+) -> list[Fraction] | None:
     """Return some x >= 0 with A x = b, or None if the system is infeasible.
 
     When `proof` is given, the solve's certificate is written into it.
@@ -171,7 +170,7 @@ class Certificates:
         self.farkas: list[list[int]] = []
         self.bases: list[tuple[list[int], list[list[int]], int]] = []
 
-    def decide(self, b: Vector) -> Optional[bool]:
+    def decide(self, b: Vector) -> bool | None:
         """Feasibility of A x = b if a stored proof settles it, else None."""
         for y in self.farkas:
             if _dot(y, b) > 0:
@@ -198,7 +197,7 @@ class Certificates:
 
     def _scaled_solution(
         self, basis: Sequence[int], inverse: Sequence[Vector], scale: int, b: Vector
-    ) -> Optional[dict[int, Rational]]:
+    ) -> dict[int, Rational] | None:
         """{j: scale * x_j} for the basic j < n, or None if the basis fails.
 
         Artificial basic entries must be 0, and A_B x_B = b is checked

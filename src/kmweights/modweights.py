@@ -7,9 +7,8 @@ parabolic Verma generalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable, Optional
 
 from .cartan import GCM, closure, components
 from .errors import Inapplicable
@@ -32,15 +31,15 @@ from .weights import (
 from .weyl import enumerate_group, orbit_truncated, stabilizer_is_finite
 
 
-@dataclass(frozen=True)
 class WeightSet:
     """Truncated weight set of a highest-weight module, as offsets."""
 
-    members: frozenset[Offset]
-    complete: bool = True
+    __slots__ = ("members", "complete")
+
+    def __init__(self, members: frozenset[Offset], complete: bool = True):
+        self.members, self.complete = members, complete
 
 
-@dataclass(frozen=True)
 class HullModel:
     """Generators of conv L(lambda): orbit vertices plus boundary rays.
 
@@ -52,11 +51,12 @@ class HullModel:
 
     `certificates` holds the membership LP matrix, built once per model,
     and the exact proofs that earlier `hull_contains` solves left on it.
+    It is cached in the instance dict, so the class has no __slots__.
     """
 
-    vertices: frozenset[Offset]
-    rays: frozenset[SignedOffset]
-    complete: bool
+    def __init__(self, vertices: frozenset[Offset], rays: frozenset[SignedOffset],
+                 complete: bool):
+        self.vertices, self.rays, self.complete = vertices, rays, complete
 
     @cached_property
     def certificates(self) -> Certificates:
@@ -72,7 +72,7 @@ class HullModel:
 
 
 def _slices(lam: HighestWeight, g: GCM, nodes: Iterable[int], bound: int,
-            support: Optional[Iterable[int]] = None) -> WeightSet:
+            support: Iterable[int] | None = None) -> WeightSet:
     """W_J-closure at lambda, J = nodes, of the seeds c of ht <= bound on `support`:
     J-dominant, and nondegenerate against lambda - b, b = c off J (each component
     of supp(c) in J meets an i with (h_i, lambda - b) != 0).  s_i, i in J, moves
@@ -137,9 +137,7 @@ def hull_generators(lam: HighestWeight, g: GCM, depth: int) -> HullModel:
     return HullModel(frozenset(vertices), frozenset(rays), complete)
 
 
-def hull_model(
-    lam: HighestWeight, g: GCM, bound: int, depth: Optional[int]
-) -> HullModel:
+def hull_model(lam: HighestWeight, g: GCM, bound: int, depth: int | None) -> HullModel:
     """The hull model of lambda on I_lambda for heights <= bound.
 
     Weyl-word depth `depth`, or 2 * bound + 4 when it is None.

@@ -15,11 +15,10 @@ key(c) = sum of c_k powers[k], so one dict of keys holds an expansion:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from itertools import chain
 from math import prod
 from operator import mul
-from typing import Iterable
 
 from .cartan import GCM, is_finite_type
 from .errors import BudgetExceeded, Inapplicable
@@ -78,7 +77,7 @@ def truncated_code(rank: int, bound: int) -> tuple[list[int], int]:
     return [b ** rank + b ** k for k in range(rank)], b ** (rank + 1)
 
 
-def _series(rank: int, bound: int, parts: Iterable[Keys]) -> "TruncSeries":
+def _series(rank: int, bound: int, parts: Iterable[Keys]) -> TruncSeries:
     """The sum of truncated expansions, decoded at the keys below the limit."""
     total: Keys = {}
     for part in parts:
@@ -90,15 +89,15 @@ def _series(rank: int, bound: int, parts: Iterable[Keys]) -> "TruncSeries":
     })
 
 
-@dataclass(frozen=True)
 class TruncSeries:
     """Integer series in e^{-alpha_i}, truncated at total height <= bound."""
 
-    rank: int
-    bound: int
-    terms: dict[Offset, int] = field(default_factory=dict)
+    __slots__ = ("rank", "bound", "terms")
 
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
+    def __init__(self, rank: int, bound: int, terms: dict[Offset, int]):
+        self.rank, self.bound, self.terms = rank, bound, terms
+
+    def __mul__(self, other: TruncSeries) -> TruncSeries:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         bound = min(self.bound, other.bound)
@@ -185,14 +184,15 @@ def finite_weyl_group(
     return list(enumerate_group(lam, g, range(g.n), height=None, cap=len(pos))), pos
 
 
-@dataclass(frozen=True)
 class LaurentElt:
     """Exact finite-support element of the group ring of the root lattice."""
 
-    rank: int
-    terms: dict[SignedOffset, int] = field(default_factory=dict)
+    __slots__ = ("rank", "terms")
 
-    def __mul__(self, other: "LaurentElt") -> "LaurentElt":
+    def __init__(self, rank: int, terms: dict[SignedOffset, int]):
+        self.rank, self.terms = rank, terms
+
+    def __mul__(self, other: LaurentElt) -> LaurentElt:
         m = sum(max(map(abs, chain(*x.terms)), default=0) for x in (self, other))
         powers = [(2 * m + 1) ** k for k in range(self.rank)]
         keys = mul_keys(_keys(self.terms, powers), _keys(other.terms, powers),

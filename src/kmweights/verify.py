@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from collections.abc import Iterable
 
 from .cartan import GCM, is_finite_type
 from .errors import BudgetExceeded, Inapplicable
@@ -26,14 +25,17 @@ from .weyl import reflect_weight, stabilizer_is_finite
 DENOMINATOR_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
 class Report:
-    check: str
-    passed: bool
-    expected_failure: bool = False
-    details: dict[str, Any] = field(default_factory=dict)
+    """The outcome of one check; `details` is a fresh dict unless one is given."""
 
-    def to_json(self) -> dict[str, Any]:
+    __slots__ = ("check", "passed", "expected_failure", "details")
+
+    def __init__(self, check: str, passed: bool, expected_failure: bool = False,
+                 details: dict[str, object] | None = None):
+        self.check, self.passed, self.expected_failure = check, passed, expected_failure
+        self.details = {} if details is None else details
+
+    def to_json(self) -> dict[str, object]:
         return {
             "check": self.check,
             "status": "PASS" if self.passed else "FAIL",
@@ -42,7 +44,7 @@ class Report:
         }
 
 
-def series_json(terms: dict[Offset, int]) -> list[dict[str, Any]]:
+def series_json(terms: dict[Offset, int]) -> list[dict[str, object]]:
     """Series terms as JSON: one offset and coefficient per term, sorted."""
     return [{"offset": list(c), "coefficient": v} for c, v in sorted(terms.items())]
 

@@ -8,9 +8,8 @@ pairings q_i = (h_i, lambda).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
 
 from .cartan import GCM
 
@@ -18,14 +17,16 @@ Offset = tuple[int, ...]
 SignedOffset = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class HighestWeight:
     """lambda given by its pairings q_i = (h_i, lambda), exact rationals."""
 
-    q: tuple[Fraction, ...]
+    __slots__ = ("q",)
+
+    def __init__(self, q: tuple[Fraction, ...]):
+        self.q = q
 
     @staticmethod
-    def of(values: Iterable) -> "HighestWeight":
+    def of(values: Iterable) -> HighestWeight:
         return HighestWeight(tuple(Fraction(v) for v in values))
 
 
@@ -46,7 +47,7 @@ def add(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, ...]:
 
 
 def offsets_up_to(
-    n: int, bound: int, support: Optional[Iterable[int]] = None
+    n: int, bound: int, support: Iterable[int] | None = None
 ) -> Iterator[Offset]:
     """Offsets c >= 0 of rank n and height <= bound, in lexicographic order.
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .cartan import GCM, closure, is_finite_type
 from .errors import BudgetExceeded, Inapplicable
@@ -25,13 +25,10 @@ from .weights import (
 WEYL_BUDGET = 10 ** 5
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(namedtuple("GroupElement", "word simple_images displacement")):
     """w in W as (reduced word, images w(alpha_i), displacement lambda - w lambda)."""
 
-    word: tuple[int, ...]
-    simple_images: tuple[SignedOffset, ...]
-    displacement: Offset
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -42,9 +39,7 @@ def identity(n: int) -> GroupElement:
     return GroupElement((), tuple(unit(n, i) for i in range(n)), zero_offset(n))
 
 
-def reflect_weight(
-    lam: HighestWeight, g: GCM, i: int, c: Sequence[int]
-) -> Optional[Offset]:
+def reflect_weight(lam: HighestWeight, g: GCM, i: int, c: Sequence[int]) -> Offset | None:
     """Offset of s_i(lambda - c), or None when it is not lambda - c' with c' >= 0.
 
     None marks an image above lambda or a non-integral (h_i, lambda - c).
@@ -87,11 +82,8 @@ def _extend(lam: HighestWeight, g: GCM, w: GroupElement, i: int) -> GroupElement
 
 
 def enumerate_group(
-    lam: HighestWeight,
-    g: GCM,
-    nodes: Iterable[int],
-    height: Optional[int] = None,
-    cap: Optional[int] = None,
+    lam: HighestWeight, g: GCM, nodes: Iterable[int], height: int | None = None,
+    cap: int | None = None,
 ) -> Iterator[GroupElement]:
     """Breadth-first stream of W_J, J = nodes, each element built once.
 

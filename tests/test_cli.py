@@ -16,6 +16,9 @@ from kmweights.errors import (
     InputError,
     KMError,
 )
+from kmweights.weights import offsets_up_to, pairing
+
+from conftest import small_gcms_and_weights
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -462,3 +465,12 @@ def test_height_over_offset_budget_refused_before_work(
         "budget exceeded: 5000000000000000000150000000000000000001 offsets of"
         " height <= 100000000000000000000 at rank 2; budget 100000\n"
     ))
+
+
+@given(small_gcms_and_weights())
+def test_pairing_texts_match_str_of_the_fraction(case):
+    g, lam = case
+    members = list(offsets_up_to(g.n, 4))
+    assert cli._pairing_texts(lam, g, members) == [
+        [str(pairing(lam, g, c, i)) for i in range(g.n)] for c in members
+    ]
