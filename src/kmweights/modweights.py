@@ -22,13 +22,13 @@ from .weights import (
     ht,
     in_parabolic_dominant,
     integrability_set,
-    is_positive,
     neg,
     offsets_up_to,
     pairing,
+    unit,
     zero_offset,
 )
-from .weyl import enumerate_group, orbit_truncated, stabilizer_is_finite
+from .weyl import orbit_ball, orbit_truncated, stabilizer_is_finite
 
 
 class WeightSet:
@@ -44,10 +44,10 @@ class HullModel:
     """Generators of conv L(lambda): orbit vertices plus boundary rays.
 
     Vertices are offsets of w lambda; rays are the weight-space directions
-    -w alpha_i for i outside the integrability set.  Generated to Weyl-word
-    depth L, so membership answers are sound but only depth-complete.
-    `complete` is true when W_J has no element longer than L, so the
-    generators are all of them and a non-member is certainly outside.
+    -w alpha_i for i outside the integrability set.  Generated to reflection
+    distance L, so membership answers are sound but only depth-complete.
+    `complete` is true when no point lies at distance L + 1, so the
+    generators over all of W_J are these and a non-member is certainly outside.
 
     `certificates` holds the membership LP matrix, built once per model,
     and the exact proofs that earlier `hull_contains` solves left on it.
@@ -121,26 +121,22 @@ def wt_simple_orbit(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
 
 
 def hull_generators(lam: HighestWeight, g: GCM, depth: int) -> HullModel:
-    """Ray Decomposition generators on J = I_lambda to Weyl-word depth `depth`."""
+    """Ray Decomposition generators on J = I_lambda to reflection distance `depth`.
+
+    Vertices: the ball about offset 0 at lambda.  Rays: minus the ball about the
+    alpha_i, i outside J, at lambda = 0 (coordinate i stays 1: disjoint orbits).
+    A point's distance is the least length of a w in W_J that reaches it."""
     nodes = sorted(integrability_set(lam))
-    outside = [i for i in range(g.n) if i not in set(nodes)]
-    vertices: set[Offset] = set()
-    rays: set[SignedOffset] = set()
-    complete = True
-    for w in enumerate_group(lam, g, nodes, height=None, cap=depth):
-        vertices.add(w.displacement)
-        for i in outside:
-            rays.add(neg(w.simple_images[i]))
-        # w s_i is longer than w exactly when w alpha_i > 0.
-        if w.length == depth and any(is_positive(w.simple_images[i]) for i in nodes):
-            complete = False
-    return HullModel(frozenset(vertices), frozenset(rays), complete)
+    vertices, whole = orbit_ball(lam, g, nodes, [zero_offset(g.n)], depth)
+    roots, rays_whole = orbit_ball(HighestWeight.of([0] * g.n), g, nodes, [
+        unit(g.n, i) for i in range(g.n) if i not in nodes], depth)
+    return HullModel(frozenset(vertices), frozenset(map(neg, roots)), whole and rays_whole)
 
 
 def hull_model(lam: HighestWeight, g: GCM, bound: int, depth: int | None) -> HullModel:
     """The hull model of lambda on I_lambda for heights <= bound.
 
-    Weyl-word depth `depth`, or 2 * bound + 4 when it is None.
+    Reflection distance `depth`, or 2 * bound + 4 when it is None.
     """
     return hull_generators(lam, g, 2 * bound + 4 if depth is None else depth)
 

@@ -20,7 +20,7 @@ from .weights import (
     zero_offset,
 )
 
-# Most Weyl group elements one enumeration lists; each holds about 1.5 KB.
+# Most Weyl group elements (about 1.5 KB each) or hull points (n ints) one walk keeps.
 # E6 (51,840) fits; A8 (362,880) and E7 (2,903,040) do not.
 WEYL_BUDGET = 10 ** 5
 
@@ -87,8 +87,8 @@ def enumerate_group(
 ) -> Iterator[GroupElement]:
     """Breadth-first stream of W_J, J = nodes, each element built once.
 
-    Yields, in length order, the elements whose minimal summand height is
-    <= `height` (every element of length <= cap when height is None), and
+    Yields, in length order, the elements whose minimal summand height is <= `height`
+    (every element of length <= cap when height is None, for finite_weyl_group), and
     stops after the first length with none of them: a longer element inside
     the bound is then missed.  For finite W_J its summands cancel below the
     bound; tests/test_series.py checks wkw_sum against all of W_J.
@@ -154,6 +154,30 @@ def orbit_truncated(
         img for i in nodes
         if (img := reflect_weight(lam, g, i, cur)) is not None and ht(img) <= height
     ])
+
+
+def orbit_ball(lam: HighestWeight, g: GCM, nodes: Iterable[int], seeds: Iterable[Offset],
+               depth: int) -> tuple[set[Offset], bool]:
+    """Points at reflection distance <= depth from `seeds` under s_i, i in J = nodes, by
+    `reflect_weight` at lambda, and whether distance depth + 1 adds none.  Raises
+    BudgetExceeded at point WEYL_BUDGET + 1, and Inapplicable unless J lies in I_lambda."""
+    nodes = levi_nodes(lam, nodes)
+    layer = [tuple(c) for c in seeds]
+    ball = set(layer)
+    for dist in range(1, depth + 2):
+        nxt = []
+        for c in layer:
+            for i in nodes:
+                if (img := reflect_weight(lam, g, i, c)) is not None and img not in ball:
+                    if dist > depth:
+                        return ball, False
+                    ball.add(img)
+                    nxt.append(img)
+                    if len(ball) > WEYL_BUDGET:
+                        raise BudgetExceeded(f"{len(ball)} points by reflection "
+                                             f"distance {dist}; budget {WEYL_BUDGET}")
+        layer = nxt
+    return ball, True
 
 
 def stabilizer_is_finite(lam: HighestWeight, g: GCM) -> bool:

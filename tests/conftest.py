@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from kmweights import HighestWeight, parse_gcm
 from kmweights.series import decode, encode, mul_keys
+from kmweights.weights import integrability_set, neg
+from kmweights.weyl import enumerate_group
 
 # The standing corpus: every GCM gets >= 3 highest weights mixing integral,
 # non-integral, and zero pairings.
@@ -78,6 +80,18 @@ def reflect(g, i, v):
 def apply(w, v):
     """w v for a root-lattice vector v, by linearity in the images w(alpha_i)."""
     return tuple(sum(x * y for x, y in zip(v, col)) for col in zip(*w.simple_images))
+
+
+def hull_generators_by_elements(lam, g, depth):
+    """Vertices lambda - w lambda and rays -w alpha_i, i outside J = I_lambda,
+    over the w in W_J of length <= depth, read off the element walk: a
+    reference for the point walks of `hull_generators`."""
+    nodes = sorted(integrability_set(lam))
+    vertices, rays = set(), set()
+    for w in enumerate_group(lam, g, nodes, height=None, cap=depth):
+        vertices.add(w.displacement)
+        rays.update(neg(w.simple_images[i]) for i in range(g.n) if i not in nodes)
+    return vertices, rays
 
 
 def keyed_laurent(rank, exponents):

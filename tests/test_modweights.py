@@ -2,11 +2,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kmweights import lp, modweights
 from kmweights.cartan import parse_gcm
-from kmweights.errors import Inapplicable
+from kmweights.errors import BudgetExceeded, Inapplicable
 from kmweights.modweights import (
     hull_contains,
     hull_generators,
@@ -29,7 +30,7 @@ from kmweights.weights import (
 )
 from kmweights.weyl import stabilizer_is_finite
 
-from conftest import small_gcms_and_weights
+from conftest import PAIRINGS, hull_generators_by_elements, small_gcms, small_gcms_and_weights
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -202,21 +203,61 @@ def test_hull_consistency_members_certify():
 
 
 @pytest.mark.parametrize(
-    "q,nodes,depth,complete",
+    "name,q,nodes,depth,complete",
     [
-        ([3], [0], 1, True),  # W = {1, s}: nothing longer than s
-        ([3], [0], 0, False),
-        ([Fraction(-3, 2)], [], 0, True),  # trivial W_J
-        ([1, 1], [0, 1], 3, True),  # longest element of W(A2) has length 3
-        ([1, 1], [0, 1], 2, False),
+        ("A1", [3], [0], 1, True),  # W = {1, s}: the orbit {0, 3} is reached by s
+        ("A1", [3], [0], 0, False),
+        ("A1", [Fraction(-3, 2)], [], 0, True),  # trivial W_J
+        ("A2", [1, 1], [0, 1], 3, True),  # longest element of W(A2) has length 3
+        ("A2", [1, 1], [0, 1], 2, False),
+        ("aff_sl2", [0, 0], [0, 1], 2, True),  # orbit {0} inside an infinite W_J
+        ("aff_sl2", [1, 0], [0, 1], 6, False),  # infinite orbit
     ],
 )
-def test_hull_model_complete_only_when_w_j_exhausted(q, nodes, depth, complete):
+def test_hull_model_complete_only_when_orbits_exhausted(name, q, nodes, depth, complete):
     # The model walks W_J on J = I_lambda, which is `nodes` in each case.
-    lam, g = HighestWeight.of(q), A1 if len(q) == 1 else A2
+    lam, g = HighestWeight.of(q), {"A1": A1, "A2": A2, "aff_sl2": AFF}[name]
     assert sorted(integrability_set(lam)) == nodes
     assert hull_generators(lam, g, depth).complete is complete
 
+
+def test_hull_generators_over_budget_before_any_lp(monkeypatch):
+    # The W-orbit of this regular weight has 164,478 points within distance
+    # 16; the budget is checked as each point is added, before any LP.
+    def no_lp(*args, **kwargs):
+        raise AssertionError("lp.feasible called")
+
+    monkeypatch.setattr(lp, "feasible", no_lp)
+    monkeypatch.setattr(modweights, "feasible", no_lp)
+    g = parse_gcm([[2, -1, -1], [-3, 2, -3], [-3, -3, 2]])
+    with pytest.raises(BudgetExceeded, match=(
+        "^100001 points by reflection distance 16; budget 100000$"
+    )):
+        hull_generators(HighestWeight.of([1, 1, 1]), g, 16)
+
+
+@given(small_gcms(max_rank=4), st.data(), st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_hull_generators_match_the_element_walk(g, data, depth):
+    lam = HighestWeight.of(data.draw(st.lists(st.sampled_from(PAIRINGS), min_size=g.n,
+                                              max_size=g.n)))
+    try:
+        model = hull_generators(lam, g, depth)
+        vertices, rays = hull_generators_by_elements(lam, g, depth)
+    except BudgetExceeded:
+        assume(False)
+    assert model.vertices == vertices
+    assert model.rays == rays
+
+
+@given(small_gcms_and_weights(), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_complete_hull_is_the_slice_set(case, depth):
+    g, lam = case
+    bound = H_BY_RANK[g.n]
+    model = hull_model(lam, g, bound, depth)
+    assume(model.complete)
+    assert hull_weight_set(model, g.n, bound).members == wt_simple_slice(lam, g, bound).members
 
 
 @pytest.mark.parametrize("bound", [0, 4])
