@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -38,7 +39,7 @@ RATIONAL = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)", re.ASCII)
 
 def load_problem(path: str) -> tuple[GCM, HighestWeight | None]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read input document: {exc}") from None
@@ -199,9 +200,9 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
-    stdout = stdout or sys.stdout
-    stderr = stderr or sys.stderr
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The whole parser tree, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(prog="kmweights")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
@@ -230,10 +231,15 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
                             "integrability"])
     p.add_argument("--height", type=_nonnegative_int, default=8)
     p.add_argument("--expect-fail", action="store_true")
+    return parser
 
+
+def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
+    stdout = stdout or sys.stdout
+    stderr = stderr or sys.stderr
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help exits 0, a usage error 2
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
 

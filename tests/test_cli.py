@@ -1,13 +1,18 @@
+import argparse
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kmweights
 from kmweights import cli, modweights, roots, series, verify
 from kmweights.cli import run
 from kmweights.errors import (
@@ -198,6 +203,22 @@ def test_malformed_input_exit_2(tmp_path, raw):
     code, out, err = invoke(["classify", "--input", str(path)])
     assert (code, out) == (2, "")
     assert err.startswith("input error: cannot read input document: ")
+
+
+def test_utf8_input_read_under_an_ascii_locale(tmp_path):
+    doc = {"cartan": [[2, -1], [-1, 2]], "labels": ["\u03b1", "b"]}
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    src = Path(kmweights.__file__).resolve().parent.parent
+    main = "import sys; sys.path.insert(0, sys.argv.pop(1)); from kmweights.cli import main; main()"
+    # -E and utf8=0 keep Python's UTF-8 mode off, so the C locale decodes as ASCII.
+    done = subprocess.run(
+        [sys.executable, "-E", "-X", "utf8=0", "-c", main, str(src),
+         "classify", "--input", str(path)],
+        capture_output=True, text=True, env={**os.environ, "LC_ALL": "C"},
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == [{"nodes": ["\u03b1", "b"], "type": "Finite"}]
 
 
 def test_gcm_axiom_violation_exit_2(tmp_path):
@@ -396,6 +417,54 @@ def test_help_exits_0_on_the_given_stdout(argv, usage):
     assert code == 0
     assert out.startswith(usage)
     assert err == ""
+
+
+def _fresh(argv):
+    cli._parser.cache_clear()
+    return invoke(argv)
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path):
+    a2 = write_problem(tmp_path, {"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"]})
+    hull = ["weights", "--input", a2, "--method", "hull", "--height", "4"]
+    calls = [
+        ["verify", "--input", a2, "--check", "denominator"],
+        ["weights", "--input", a2, "--method", "slice", "--height", "500"],
+        hull + ["--depth", "2"],
+        hull,
+        ["--help"],
+        *([command, "--help"] for command in ("classify", "roots", "weights", "series", "verify")),
+        ["roots", "--input", a2, "--height", "-1"],
+        ["classify", "--input", a2],
+    ]
+    want = [_fresh(argv) for argv in calls]
+    assert want[1][0] == 4  # C(502, 2) offsets exceed OFFSET_BUDGET
+    cli._parser.cache_clear()
+    assert [invoke(argv) for argv in calls] == want
+
+
+def test_help_follows_columns_at_call_time(monkeypatch):
+    invoke(["weights", "--help"])
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = invoke(["weights", "--help"])
+    assert narrow == _fresh(["weights", "--help"])
+    monkeypatch.setenv("COLUMNS", "200")
+    assert invoke(["weights", "--help"]) != narrow
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    path = write_problem(tmp_path, {"cartan": [[2]]})
+    invoke(["classify", "--input", path])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert invoke(["classify", "--input", path])[0] == 0
+    assert built == []
 
 
 def test_svg_hull_model_built_once(tmp_path, monkeypatch):
