@@ -194,10 +194,10 @@ def _emit(doc: object, out) -> None:
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
-    return value
+    # ASCII digits only: int() would also take "1_0", " 4", "+4" and "\u0664".
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 @functools.cache

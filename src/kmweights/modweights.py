@@ -8,7 +8,6 @@ parabolic Verma generalization.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import cached_property
 
 from .cartan import GCM, closure, components
 from .errors import Inapplicable
@@ -49,44 +48,22 @@ class HullModel:
     `complete` is true when no point lies at distance L + 1, so the
     generators over all of W_J are these and a non-member is certainly outside.
 
-    `certificates` holds the membership LP matrix, built once per model,
+    `certificates` holds the membership LP matrix, built with the model,
     and the exact proofs that earlier `hull_contains` solves left on it.
-    It is cached in the instance dict, so the class has no __slots__.
     """
+
+    __slots__ = ("vertices", "rays", "complete", "certificates")
 
     def __init__(self, vertices: frozenset[Offset], rays: frozenset[SignedOffset],
                  complete: bool):
         self.vertices, self.rays, self.complete = vertices, rays, complete
-
-    @cached_property
-    def certificates(self) -> Certificates:
         # Columns: one per vertex (with convexity row 1), one per ray.
         # Rows: n coordinate equations, then sum of vertex weights = 1.
         # Ray directions are stored in weight space; offsets grow along -ray.
-        verts = sorted(self.vertices)
-        rays = sorted(self.rays)
-        n = len(verts[0])
-        a = [[v[k] for v in verts] + [-r[k] for r in rays] for k in range(n)]
+        verts, rays = sorted(vertices), sorted(rays)
+        a = [[v[k] for v in verts] + [-r[k] for r in rays] for k in range(len(verts[0]))]
         a.append([1] * len(verts) + [0] * len(rays))
-        return Certificates(a)
-
-
-def _slices(lam: HighestWeight, g: GCM, nodes: Iterable[int], bound: int,
-            support: Iterable[int] | None = None) -> WeightSet:
-    """W_J-closure at lambda, J = nodes, of the seeds c of ht <= bound on `support`:
-    J-dominant, and nondegenerate against lambda - b, b = c off J (each component
-    of supp(c) in J meets an i with (h_i, lambda - b) != 0).  s_i, i in J, moves
-    only c_i, so a W_J-orbit is b plus the orbit of c - b at lambda - b.
-    """
-    nodes = sorted(nodes)
-    seeds = []
-    for c in offsets_up_to(g.n, bound, support):
-        if in_parabolic_dominant(lam, g, c, nodes):
-            b = [0 if i in nodes else x for i, x in enumerate(c)]
-            if all(any(pairing(lam, g, b, i) != 0 for i in comp)
-                   for comp in components(g, [i for i in nodes if c[i]])):
-                seeds.append(c)
-    return WeightSet(frozenset(orbit_truncated(lam, g, nodes, seeds, bound)))
+        self.certificates = Certificates(a)
 
 
 def wt_integrable(
@@ -94,11 +71,13 @@ def wt_integrable(
 ) -> WeightSet:
     """Weights of the integrable module L_l(lambda) over the Levi on `nodes`.
 
-    W_J-orbits of the J-dominant mu <= lambda whose offset is nondegenerate;
-    offsets are full-rank but supported on J.
+    The members of wt_parabolic_verma(lambda, J), J = nodes, supported on J:
+    s_i, i in J, moves only c_i, so exactly the orbits seeded with b = 0 stay
+    on J.  Offsets are full-rank.
     """
     nodes = sorted(nodes)
-    return _slices(lam, g, nodes, bound, nodes)
+    return WeightSet(frozenset(c for c in wt_parabolic_verma(lam, g, nodes, bound).members
+                               if not any(x for i, x in enumerate(c) if i not in nodes)))
 
 
 def wt_simple_slice(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
@@ -184,10 +163,22 @@ def wt_parabolic_verma(
     """Weights of the parabolic Verma module M(lambda, J), J = nodes.
 
     Slice construction with J in place of I_lambda: the union over b supported
-    off J of b + wt_integrable(lambda - b), as one `_slices` closure at lambda.
+    off J of b + wt_integrable(lambda - b), as one W_J-closure at lambda of the
+    seeds c of ht <= bound that are J-dominant and nondegenerate against
+    lambda - b, b = c off J (each component of supp(c) in J meets an i with
+    (h_i, lambda - b) != 0).  s_i, i in J, moves only c_i, so a W_J-orbit is
+    b plus the orbit of c - b at lambda - b.
     Raises Inapplicable unless J lies in the integrability set.
     """
-    return _slices(lam, g, nodes, bound)
+    nodes = sorted(nodes)
+    seeds = []
+    for c in offsets_up_to(g.n, bound):
+        if in_parabolic_dominant(lam, g, c, nodes):
+            b = [0 if i in nodes else x for i, x in enumerate(c)]
+            if all(any(pairing(lam, g, b, i) != 0 for i in comp)
+                   for comp in components(g, [i for i in nodes if c[i]])):
+                seeds.append(c)
+    return WeightSet(frozenset(orbit_truncated(lam, g, nodes, seeds, bound)))
 
 
 def wt_parabolic_verma_induced(

@@ -46,25 +46,16 @@ def add(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(operator.add, c1, c2))
 
 
-def offsets_up_to(
-    n: int, bound: int, support: Iterable[int] | None = None
-) -> Iterator[Offset]:
+def offsets_up_to(n: int, bound: int) -> Iterator[Offset]:
     """Offsets c >= 0 of rank n and height <= bound, in lexicographic order.
 
-    With `support`, only the offsets that vanish off it, in the same order
-    as the full enumeration.  The order puts every c - e_i before c.
+    The order puts every c - e_i before c.
     """
-    nodes = None if support is None else set(support)
-    return _tails([nodes is None or i in nodes for i in range(n)], 0, bound)
-
-
-def _tails(free: list[bool], i: int, room: int) -> Iterator[Offset]:
-    """Coordinates i onward of height <= room, zero where not `free`, in lex order."""
-    if i == len(free):
+    if n == 0:
         yield ()
         return
-    for first in range(room + 1 if free[i] else 1):
-        for rest in _tails(free, i + 1, room - first):
+    for first in range(bound + 1):
+        for rest in offsets_up_to(n - 1, bound - first):
             yield (first,) + rest
 
 

@@ -159,25 +159,23 @@ def orbit_truncated(
 def orbit_ball(lam: HighestWeight, g: GCM, nodes: Iterable[int], seeds: Iterable[Offset],
                depth: int) -> tuple[set[Offset], bool]:
     """Points at reflection distance <= depth from `seeds` under s_i, i in J = nodes, by
-    `reflect_weight` at lambda, and whether distance depth + 1 adds none.  Raises
+    `reflect_weight` at lambda, and whether distance depth + 1 adds none.  One
+    breadth-first queue, so the walk ends with the orbit whatever the depth.  Raises
     BudgetExceeded at point WEYL_BUDGET + 1, and Inapplicable unless J lies in I_lambda."""
     nodes = levi_nodes(lam, nodes)
-    layer = [tuple(c) for c in seeds]
-    ball = set(layer)
-    for dist in range(1, depth + 2):
-        nxt = []
-        for c in layer:
-            for i in nodes:
-                if (img := reflect_weight(lam, g, i, c)) is not None and img not in ball:
-                    if dist > depth:
-                        return ball, False
-                    ball.add(img)
-                    nxt.append(img)
-                    if len(ball) > WEYL_BUDGET:
-                        raise BudgetExceeded(f"{len(ball)} points by reflection "
-                                             f"distance {dist}; budget {WEYL_BUDGET}")
-        layer = nxt
-    return ball, True
+    dist = dict.fromkeys(map(tuple, seeds), 0)
+    queue = list(dist)
+    for c in queue:  # the loop also visits what it appends
+        for i in nodes:
+            if (img := reflect_weight(lam, g, i, c)) is not None and img not in dist:
+                if dist[c] == depth:  # breadth-first: the whole ball is in dist
+                    return set(dist), False
+                dist[img] = dist[c] + 1
+                queue.append(img)
+                if len(dist) > WEYL_BUDGET:
+                    raise BudgetExceeded(f"{len(dist)} points by reflection "
+                                         f"distance {dist[img]}; budget {WEYL_BUDGET}")
+    return set(dist), True
 
 
 def stabilizer_is_finite(lam: HighestWeight, g: GCM) -> bool:

@@ -408,6 +408,18 @@ def test_negative_height_exit_2(tmp_path):
         assert "nonnegative" in err
 
 
+@pytest.mark.parametrize("text", ["1_0", " 4", "4 ", "+4", "\u0664", "4.0", "0x4", "", "-0"])
+@pytest.mark.parametrize("flag", ["--height", "--depth"])
+def test_height_and_depth_take_ascii_digits_only(tmp_path, flag, text):
+    path = write_problem(tmp_path, {"cartan": [[2]], "lambda": ["3"]})
+    argv = ["weights", "--input", path, "--method", "hull", "--height", "3"]
+    code, out, err = invoke(argv + [flag, text])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ")
+    assert f"must be a nonnegative integer, got {text!r}" in err
+    assert invoke(argv + [flag, "04"])[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv,usage",
     [(["--help"], "usage: kmweights "), (["weights", "--help"], "usage: kmweights weights ")],

@@ -8,7 +8,7 @@ import pytest
 
 import kmweights
 from kmweights.cartan import GCM, parse_gcm
-from kmweights.modweights import WeightSet
+from kmweights.modweights import HullModel, WeightSet
 from kmweights.series import LaurentElt, TruncSeries, finite_weyl_group
 from kmweights.verify import Report
 from kmweights.weights import HighestWeight
@@ -66,7 +66,8 @@ def test_weight_set_is_complete_by_default():
 
 def test_slot_classes_take_no_new_attributes():
     for value in (GCM(((2,),)), HighestWeight.of([1]), WeightSet(frozenset()),
-                  TruncSeries(1, 2, {}), LaurentElt(1, {}), Report("cross", True)):
+                  TruncSeries(1, 2, {}), LaurentElt(1, {}), Report("cross", True),
+                  HullModel(frozenset({(0,)}), frozenset(), True)):
         with pytest.raises(AttributeError):
             value.extra = None
 

@@ -76,7 +76,6 @@ def test_offsets_and_denominator_check_leave_no_reference_cycles():
     try:
         for _ in range(10):
             list(offsets_up_to(3, 4))
-            list(offsets_up_to(3, 4, support=[0, 2]))
         assert verify_denominator_bases(A4).passed
         assert gc.collect() == 0
     finally:

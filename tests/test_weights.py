@@ -84,19 +84,5 @@ def test_offsets_up_to_is_lexicographic_and_complete(n, bound):
     assert full == sorted(c for c in product(range(bound + 1), repeat=n) if sum(c) <= bound)
 
 
-@given(
-    st.integers(1, 4),
-    st.integers(0, 5),
-    st.lists(st.integers(0, 3), max_size=4),
-)
-def test_offsets_up_to_support_filters_in_order(n, bound, support):
-    support = {i for i in support if i < n}
-    full = list(offsets_up_to(n, bound))
-    supported = [c for c in full if all(c[i] == 0 for i in range(n) if i not in support)]
-    assert list(offsets_up_to(n, bound, support)) == supported
-    assert list(offsets_up_to(n, bound, sorted(support))) == supported
-
-
 def test_offsets_up_to_zero_bound_and_empty_support():
     assert list(offsets_up_to(3, 0)) == [(0, 0, 0)]
-    assert list(offsets_up_to(2, 4, [])) == [(0, 0)]

@@ -1,9 +1,14 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kmweights
 from kmweights.cartan import parse_gcm
 from kmweights.errors import BudgetExceeded, Inapplicable
 from kmweights.roots import positive_real_up_to
@@ -22,6 +27,7 @@ from kmweights.weyl import (
     enumerate_group,
     identity,
     min_summand_height,
+    orbit_ball,
     orbit_truncated,
     reflect_weight,
     stabilizer_is_finite,
@@ -253,6 +259,35 @@ def test_orbit_of_seeds_is_union_of_single_orbits(case, height):
     for c in seeds:
         union |= orbit_truncated(lam, g, nodes, [c], height)
     assert orbit_truncated(lam, g, nodes, seeds, height) == union
+
+
+def test_orbit_ball_is_whole_exactly_from_the_orbit_radius():
+    # The vertex ball of A2 at (1, 1) is its six-point orbit, of radius 3.
+    lam = HighestWeight.of([1, 1])
+    ball, whole = orbit_ball(lam, A2, [0, 1], [(0, 0)], 3)
+    assert (len(ball), whole) == (6, True)
+    ball, whole = orbit_ball(lam, A2, [0, 1], [(0, 0)], 2)
+    assert (len(ball), whole) == (5, False)
+
+
+def test_hull_depth_past_the_orbit_radius_ends_with_the_orbit(tmp_path):
+    # The walk stops when the orbit is exhausted, not after depth + 1 passes.
+    path = tmp_path / "a2.json"
+    path.write_text('{"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "1"]}')
+    src = Path(kmweights.__file__).resolve().parent.parent
+    main = "import sys; sys.path.insert(0, sys.argv.pop(1)); from kmweights.cli import main; main()"
+    offsets = []
+    for depth in (20, 10 ** 15):
+        done = subprocess.run(
+            [sys.executable, "-c", main, str(src), "weights", "--input", str(path),
+             "--method", "hull", "--height", "4", "--depth", str(depth)],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        doc = json.loads(done.stdout)
+        assert doc["complete"]
+        offsets.append(doc["offsets"])
+    assert offsets[0] == offsets[1]
 
 
 def test_stabilizer_finite_cases():
