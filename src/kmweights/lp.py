@@ -26,6 +26,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
+from operator import mul
 
 Vector = Sequence[Rational]
 
@@ -153,7 +154,7 @@ def feasible(
 
 
 def _dot(u: Vector, v: Vector) -> Rational:
-    return sum(p * q for p, q in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 class Certificates:

@@ -18,8 +18,8 @@ from .weights import (
     Offset,
     SignedOffset,
     add,
+    chamber_offsets,
     ht,
-    in_parabolic_dominant,
     integrability_set,
     neg,
     offsets_up_to,
@@ -27,7 +27,7 @@ from .weights import (
     unit,
     zero_offset,
 )
-from .weyl import orbit_ball, orbit_truncated, stabilizer_is_finite
+from .weyl import levi_nodes, orbit_ball, orbit_truncated, stabilizer_is_finite
 
 
 class WeightSet:
@@ -92,10 +92,8 @@ def wt_simple_orbit(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
     """
     ilam = sorted(integrability_set(lam))
     if not stabilizer_is_finite(lam, g):
-        raise Inapplicable(
-            "lambda has infinite stabilizer in the integrable Weyl subgroup"
-        )
-    seeds = [c for c in offsets_up_to(g.n, bound) if in_parabolic_dominant(lam, g, c, ilam)]
+        raise Inapplicable("lambda has infinite stabilizer in the integrable Weyl subgroup")
+    seeds = chamber_offsets(g, {j: lam.q[j].numerator for j in ilam}, bound)
     return WeightSet(frozenset(orbit_truncated(lam, g, ilam, seeds, bound)))
 
 
@@ -170,14 +168,13 @@ def wt_parabolic_verma(
     b plus the orbit of c - b at lambda - b.
     Raises Inapplicable unless J lies in the integrability set.
     """
-    nodes = sorted(nodes)
+    nodes = levi_nodes(lam, nodes)
     seeds = []
-    for c in offsets_up_to(g.n, bound):
-        if in_parabolic_dominant(lam, g, c, nodes):
-            b = [0 if i in nodes else x for i, x in enumerate(c)]
-            if all(any(pairing(lam, g, b, i) != 0 for i in comp)
-                   for comp in components(g, [i for i in nodes if c[i]])):
-                seeds.append(c)
+    for c in chamber_offsets(g, {j: lam.q[j].numerator for j in nodes}, bound):
+        b = [0 if i in nodes else x for i, x in enumerate(c)]
+        if all(any(pairing(lam, g, b, i) != 0 for i in comp)
+               for comp in components(g, [i for i in nodes if c[i]])):
+            seeds.append(c)
     return WeightSet(frozenset(orbit_truncated(lam, g, nodes, seeds, bound)))
 
 

@@ -8,8 +8,9 @@ pairings q_i = (h_i, lambda).
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
+from operator import mul
 
 from .cartan import GCM
 
@@ -59,6 +60,31 @@ def offsets_up_to(n: int, bound: int) -> Iterator[Offset]:
             yield (first,) + rest
 
 
+def chamber_offsets(g: GCM, caps: Mapping[int, int], bound: int) -> Iterator[Offset]:
+    """The offsets_up_to(g.n, bound) with (A c)_j <= caps[j] for each j in caps, in order.
+    It walks the first n - 1 coordinates, carrying s = caps - A prefix on the capped rows,
+    and solves each row's x t <= s, x = a_{j,n-1}, for the interval of the last one, t."""
+    cols = [[g.a[j][k] for j in caps] for k in range(g.n)]
+
+    def walk(prefix: Offset, room: int, slack: list[int]) -> Iterator[Offset]:
+        if len(prefix) < g.n - 1:
+            for first in range(room + 1):
+                yield from walk(prefix + (first,), room - first, slack)
+                slack = list(map(operator.sub, slack, cols[len(prefix)]))
+            return
+        low, high = 0, room
+        for x, s in zip(cols[-1], slack):
+            if x > 0:
+                high = min(high, s // x)
+            elif x < 0:
+                low = max(low, -(s // -x))  # the ceiling of s / x
+            elif s < 0:
+                return
+        yield from (prefix + (t,) for t in range(low, high + 1))
+
+    yield from walk((), bound, list(caps.values()))
+
+
 def neg(c: Sequence[int]) -> tuple[int, ...]:
     return tuple(-x for x in c)
 
@@ -74,7 +100,7 @@ def is_negative(c: Sequence[int]) -> bool:
 
 def cartan_pairing(g: GCM, c: Sequence[int], i: int) -> int:
     """(h_i, sum_j c_j alpha_j) = (A c)_i."""
-    return sum(g.a[i][j] * c[j] for j in range(g.n))
+    return sum(map(mul, g.a[i], c))
 
 
 def pairing(lam: HighestWeight, g: GCM, c: Sequence[int], i: int) -> Fraction:
@@ -88,14 +114,3 @@ def integrability_set(lam: HighestWeight) -> frozenset[int]:
         i for i, qi in enumerate(lam.q) if qi.denominator == 1 and qi >= 0
     )
 
-
-def in_parabolic_dominant(
-    lam: HighestWeight, g: GCM, c: Sequence[int], nodes: Iterable[int]
-) -> bool:
-    """mu = lambda - c lies in the parabolic dominant chamber for `nodes`."""
-    # (h_i, mu) = q_i - (A c)_i is an integer exactly when q_i is.
-    for i in nodes:
-        q = lam.q[i]
-        if q.denominator != 1 or q.numerator < cartan_pairing(g, c, i):
-            return False
-    return True

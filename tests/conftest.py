@@ -77,6 +77,17 @@ def reflect(g, i, v):
     return tuple(out)
 
 
+def in_parabolic_dominant(lam, g, c, nodes):
+    """mu = lambda - c lies in the parabolic dominant chamber for `nodes`: the
+    per-offset predicate that `weights.chamber_offsets` replaces, as a reference."""
+    # (h_i, mu) = q_i - (A c)_i is an integer exactly when q_i is.
+    for i in nodes:
+        q = lam.q[i]
+        if q.denominator != 1 or q.numerator < sum(g.a[i][j] * c[j] for j in range(g.n)):
+            return False
+    return True
+
+
 def apply(w, v):
     """w v for a root-lattice vector v, by linearity in the images w(alpha_i)."""
     return tuple(sum(x * y for x, y in zip(v, col)) for col in zip(*w.simple_images))

@@ -9,7 +9,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kmweights
@@ -408,7 +408,11 @@ def test_negative_height_exit_2(tmp_path):
         assert "nonnegative" in err
 
 
-@pytest.mark.parametrize("text", ["1_0", " 4", "4 ", "+4", "\u0664", "4.0", "0x4", "", "-0"])
+NINES = "9" * 5000  # past Python's 4,300-digit limit on int("...")
+
+
+@pytest.mark.parametrize("text", ["1_0", " 4", "4 ", "+4", "\u0664", "4.0", "0x4", "", "-0",
+                                  pytest.param(NINES, id="5000_nines")])
 @pytest.mark.parametrize("flag", ["--height", "--depth"])
 def test_height_and_depth_take_ascii_digits_only(tmp_path, flag, text):
     path = write_problem(tmp_path, {"cartan": [[2]], "lambda": ["3"]})
@@ -416,8 +420,28 @@ def test_height_and_depth_take_ascii_digits_only(tmp_path, flag, text):
     code, out, err = invoke(argv + [flag, text])
     assert (code, out) == (2, "")
     assert err.startswith("usage: ")
-    assert f"must be a nonnegative integer, got {text!r}" in err
+    got = "5000 digits" if text == NINES else repr(text)
+    assert f"must be a nonnegative integer, got {got}" in err
+    assert NINES not in err and "_nonnegative_int" not in err
     assert invoke(argv + [flag, "04"])[0] == 0
+
+
+json_docs = st.recursive(
+    st.one_of(st.integers(), st.booleans(), st.none(), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(json_docs)
+@example({"\u00e9\"\n\x00\t": ["\u03b1", "\\", "\x1f", None, True, False, -3, 10 ** 30, ""],
+          "": {}, "b": [], "a": [[]]})
+@settings(max_examples=300, deadline=None)
+def test_emit_writes_what_json_dumps_writes(doc):
+    out = io.StringIO()
+    cli._emit(doc, out)
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -3,17 +3,21 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmweights.cartan import parse_gcm
+from kmweights.cartan import components, parse_gcm
+from kmweights.roots import positive_imaginary_up_to
 from kmweights.weights import (
     HighestWeight,
-    in_parabolic_dominant,
+    chamber_offsets,
     integrability_set,
     offsets_up_to,
     pairing,
 )
+from kmweights.weyl import orbit_truncated
+
+from conftest import CORPUS_MATRICES, in_parabolic_dominant, small_gcms
 
 FIG_LEFT = parse_gcm([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 
@@ -86,3 +90,36 @@ def test_offsets_up_to_is_lexicographic_and_complete(n, bound):
 
 def test_offsets_up_to_zero_bound_and_empty_support():
     assert list(offsets_up_to(3, 0)) == [(0, 0, 0)]
+
+
+# A 3-cycle with a_01 a_12 a_20 != a_10 a_21 a_02: not symmetrizable.
+NON_SYMMETRIZABLE = parse_gcm([[2, -1, -2], [-3, 2, -1], [-1, -2, 2]])
+
+
+@given(st.one_of(small_gcms(max_rank=4), st.just(NON_SYMMETRIZABLE)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_chamber_offsets_are_the_capped_offsets_in_order(g, data):
+    nodes = data.draw(st.sets(st.integers(0, g.n - 1)))
+    caps = {j: data.draw(st.integers(-3, 5)) for j in sorted(nodes)}
+    bound = data.draw(st.integers(0, 12))
+    # The reference reads cap j as the integral pairing q_j of a highest weight.
+    lam = HighestWeight.of([caps.get(j, 0) for j in range(g.n)])
+    assert list(chamber_offsets(g, caps, bound)) == [
+        c for c in offsets_up_to(g.n, bound) if in_parabolic_dominant(lam, g, c, caps)]
+
+
+@pytest.mark.parametrize("m", [
+    CORPUS_MATRICES["aff_sl2"], CORPUS_MATRICES["aff_rank3"], CORPUS_MATRICES["fig_right"],
+    CORPUS_MATRICES["hyperbolic"], [[2, -1, -1], [-3, 2, -3], [-3, -3, 2]],
+    [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]],
+], ids=["aff_sl2", "aff_rank3", "fig_right", "hyperbolic", "hyperbolic_rank3", "two_affine"])
+def test_positive_imaginary_matches_the_full_scan_of_k(m):
+    g, height = parse_gcm(m), 8
+    fundamental = [
+        c for c in offsets_up_to(g.n, height)
+        if any(c) and all(sum(a * x for a, x in zip(row, c)) <= 0 for row in m)
+        and len(components(g, [i for i, x in enumerate(c) if x])) == 1
+    ]
+    zero = HighestWeight.of([0] * g.n)
+    assert positive_imaginary_up_to(g, height) == orbit_truncated(
+        zero, g, range(g.n), fundamental, height)

@@ -15,7 +15,6 @@ from kmweights.roots import positive_real_up_to
 from kmweights.weights import (
     HighestWeight,
     ht,
-    in_parabolic_dominant,
     integrability_set,
     is_negative,
     is_positive,
@@ -33,7 +32,7 @@ from kmweights.weyl import (
     stabilizer_is_finite,
 )
 
-from conftest import apply, reflect, small_gcms_and_weights
+from conftest import apply, in_parabolic_dominant, reflect, small_gcms_and_weights
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
