@@ -208,13 +208,12 @@ def _json_text(v: object, newline: str) -> str:
 
 
 def _nonnegative_int(text: str) -> int:
-    # ASCII digits only: int() would also take "1_0", " 4", "+4" and "\u0664".
-    got = repr(text)
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # past Python's int digit limit: give the length, not the text
-            got = f"{len(text)} digits"
+    # ASCII digits only: int() would also take "1_0", " 4", "+4" and "\u0664".  At most
+    # 640 digits, the least int digit limit Python admits, so int() cannot raise.
+    digits = text.isascii() and text.isdigit()
+    if digits and len(text) <= 640:
+        return int(text)
+    got = f"{len(text)} digits" if digits else repr(text)
     raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {got}")
 
 

@@ -18,7 +18,6 @@ from .weights import (
     Offset,
     SignedOffset,
     add,
-    chamber_offsets,
     ht,
     integrability_set,
     neg,
@@ -93,7 +92,7 @@ def wt_simple_orbit(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
     ilam = sorted(integrability_set(lam))
     if not stabilizer_is_finite(lam, g):
         raise Inapplicable("lambda has infinite stabilizer in the integrable Weyl subgroup")
-    seeds = chamber_offsets(g, {j: lam.q[j].numerator for j in ilam}, bound)
+    seeds = offsets_up_to(g.n, bound, [(g.a[j], lam.q[j].numerator) for j in ilam])
     return WeightSet(frozenset(orbit_truncated(lam, g, ilam, seeds, bound)))
 
 
@@ -170,7 +169,7 @@ def wt_parabolic_verma(
     """
     nodes = levi_nodes(lam, nodes)
     seeds = []
-    for c in chamber_offsets(g, {j: lam.q[j].numerator for j in nodes}, bound):
+    for c in offsets_up_to(g.n, bound, [(g.a[j], lam.q[j].numerator) for j in nodes]):
         b = [0 if i in nodes else x for i, x in enumerate(c)]
         if all(any(pairing(lam, g, b, i) != 0 for i in comp)
                for comp in components(g, [i for i in nodes if c[i]])):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .cartan import GCM, components
-from .weights import HighestWeight, SignedOffset, chamber_offsets, unit
+from .weights import HighestWeight, SignedOffset, offsets_up_to, unit
 from .weyl import orbit_truncated
 
 
@@ -22,6 +22,6 @@ def positive_imaginary_up_to(g: GCM, height: int) -> set[SignedOffset]:
     (h_i, c) <= 0 for all i.  Every positive imaginary root descends to K by
     height-lowering reflections (Kac, Infinite dimensional Lie algebras, Thm 5.4).
     """
-    fundamental = [c for c in chamber_offsets(g, dict.fromkeys(range(g.n), 0), height)
+    fundamental = [c for c in offsets_up_to(g.n, height, [(row, 0) for row in g.a])
                    if any(c) and len(components(g, [i for i, x in enumerate(c) if x])) == 1]
     return orbit_truncated(HighestWeight.of([0] * g.n), g, range(g.n), fundamental, height)

@@ -8,7 +8,7 @@ pairings q_i = (h_i, lambda).
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from operator import mul
 
@@ -47,42 +47,30 @@ def add(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(operator.add, c1, c2))
 
 
-def offsets_up_to(n: int, bound: int) -> Iterator[Offset]:
-    """Offsets c >= 0 of rank n and height <= bound, in lexicographic order.
-
-    The order puts every c - e_i before c.
-    """
+def offsets_up_to(n: int, bound: int,
+                  caps: Sequence[tuple[Sequence[int], int]] = ()) -> Iterator[Offset]:
+    """Offsets c >= 0 of rank n, height <= bound and row . c <= cap for each (row, cap)
+    in caps, in the lexicographic order, which puts every c - e_i before c.  The last
+    coordinate t is solved, not scanned, from x t <= s, x = row[-1], s = cap - row . prefix."""
     if n == 0:
-        yield ()
+        if all(s >= 0 for _, s in caps):
+            yield ()
         return
-    for first in range(bound + 1):
-        for rest in offsets_up_to(n - 1, bound - first):
-            yield (first,) + rest
-
-
-def chamber_offsets(g: GCM, caps: Mapping[int, int], bound: int) -> Iterator[Offset]:
-    """The offsets_up_to(g.n, bound) with (A c)_j <= caps[j] for each j in caps, in order.
-    It walks the first n - 1 coordinates, carrying s = caps - A prefix on the capped rows,
-    and solves each row's x t <= s, x = a_{j,n-1}, for the interval of the last one, t."""
-    cols = [[g.a[j][k] for j in caps] for k in range(g.n)]
-
-    def walk(prefix: Offset, room: int, slack: list[int]) -> Iterator[Offset]:
-        if len(prefix) < g.n - 1:
-            for first in range(room + 1):
-                yield from walk(prefix + (first,), room - first, slack)
-                slack = list(map(operator.sub, slack, cols[len(prefix)]))
-            return
-        low, high = 0, room
-        for x, s in zip(cols[-1], slack):
+    if n == 1:
+        low, high = 0, bound
+        for (x,), s in caps:
             if x > 0:
                 high = min(high, s // x)
             elif x < 0:
                 low = max(low, -(s // -x))  # the ceiling of s / x
             elif s < 0:
                 return
-        yield from (prefix + (t,) for t in range(low, high + 1))
-
-    yield from walk((), bound, list(caps.values()))
+        yield from ((t,) for t in range(low, high + 1))
+        return
+    for first in range(bound + 1):
+        rest = [(row[1:], s - row[0] * first) for row, s in caps]
+        for tail in offsets_up_to(n - 1, bound - first, rest):
+            yield (first,) + tail
 
 
 def neg(c: Sequence[int]) -> tuple[int, ...]:

@@ -79,7 +79,7 @@ def reflect(g, i, v):
 
 def in_parabolic_dominant(lam, g, c, nodes):
     """mu = lambda - c lies in the parabolic dominant chamber for `nodes`: the
-    per-offset predicate that `weights.chamber_offsets` replaces, as a reference."""
+    per-offset predicate that the capped `weights.offsets_up_to` replaces, as a reference."""
     # (h_i, mu) = q_i - (A c)_i is an integer exactly when q_i is.
     for i in nodes:
         q = lam.q[i]

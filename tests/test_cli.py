@@ -426,6 +426,23 @@ def test_height_and_depth_take_ascii_digits_only(tmp_path, flag, text):
     assert invoke(argv + [flag, "04"])[0] == 0
 
 
+@pytest.mark.parametrize("flag", ["--height", "--depth"])
+def test_long_height_and_depth_refused_without_an_int_digit_limit(tmp_path, flag):
+    path = write_problem(tmp_path, {"cartan": [[2, -1], [-1, 2]], "lambda": ["1", "0"]})
+    src = Path(kmweights.__file__).resolve().parent.parent
+    main = "import sys; sys.path.insert(0, sys.argv.pop(1)); from kmweights.cli import main; main()"
+    argv = ["weights", "--input", path, "--method", "hull", "--height", "3", flag]
+    for text, code in ((NINES, 2), ("9" * 641, 2), ("0" * 639 + "4", 0)):
+        # PYTHONINTMAXSTRDIGITS=0 lifts the interpreter's limit, so int() would take NINES.
+        done = subprocess.run([sys.executable, "-c", main, str(src), *argv, text],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONINTMAXSTRDIGITS": "0"})
+        assert done.returncode == code
+        if code == 2:
+            assert done.stderr.startswith("usage: ")
+            assert f"must be a nonnegative integer, got {len(text)} digits" in done.stderr
+
+
 json_docs = st.recursive(
     st.one_of(st.integers(), st.booleans(), st.none(), st.text()),
     lambda inner: st.one_of(st.lists(inner, max_size=4),

@@ -6,6 +6,8 @@ import pytest
 from kmweights import verify
 from kmweights.cartan import parse_gcm
 from kmweights.errors import Inapplicable
+from kmweights.modweights import wt_simple_orbit, wt_simple_slice
+from kmweights.roots import positive_imaginary_up_to
 from kmweights.series import finite_weyl_group
 from kmweights.verify import (
     check_integrability_invariants,
@@ -15,7 +17,7 @@ from kmweights.verify import (
 )
 from kmweights.weights import HighestWeight, neg, offsets_up_to
 
-from conftest import apply, keyed_laurent
+from conftest import CORPUS_MATRICES, apply, keyed_laurent
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -77,6 +79,28 @@ def test_offsets_and_denominator_check_leave_no_reference_cycles():
         for _ in range(10):
             list(offsets_up_to(3, 4))
         assert verify_denominator_bases(A4).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+FIG_RIGHT = parse_gcm(CORPUS_MATRICES["fig_right"])
+FIG_RIGHT_LAM = HighestWeight.of(["1", "2", "-1/2"])
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: list(offsets_up_to(3, 8, [(FIG_RIGHT.a[j], FIG_RIGHT_LAM.q[j].numerator)
+                                      for j in (0, 1)])),
+    lambda: wt_simple_slice(FIG_RIGHT_LAM, FIG_RIGHT, 8),
+    lambda: wt_simple_orbit(FIG_RIGHT_LAM, FIG_RIGHT, 8),
+    lambda: positive_imaginary_up_to(FIG_RIGHT, 8),
+], ids=["capped_offsets", "slice", "orbit", "imaginary_roots"])
+def test_weight_scans_leave_no_reference_cycles(scan):
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            scan()
         assert gc.collect() == 0
     finally:
         gc.enable()

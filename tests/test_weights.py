@@ -10,7 +10,6 @@ from kmweights.cartan import components, parse_gcm
 from kmweights.roots import positive_imaginary_up_to
 from kmweights.weights import (
     HighestWeight,
-    chamber_offsets,
     integrability_set,
     offsets_up_to,
     pairing,
@@ -98,14 +97,15 @@ NON_SYMMETRIZABLE = parse_gcm([[2, -1, -2], [-3, 2, -1], [-1, -2, 2]])
 
 @given(st.one_of(small_gcms(max_rank=4), st.just(NON_SYMMETRIZABLE)), st.data())
 @settings(max_examples=300, deadline=None)
-def test_chamber_offsets_are_the_capped_offsets_in_order(g, data):
+def test_capped_offsets_are_the_dominant_offsets_in_order(g, data):
     nodes = data.draw(st.sets(st.integers(0, g.n - 1)))
     caps = {j: data.draw(st.integers(-3, 5)) for j in sorted(nodes)}
     bound = data.draw(st.integers(0, 12))
     # The reference reads cap j as the integral pairing q_j of a highest weight.
     lam = HighestWeight.of([caps.get(j, 0) for j in range(g.n)])
-    assert list(chamber_offsets(g, caps, bound)) == [
-        c for c in offsets_up_to(g.n, bound) if in_parabolic_dominant(lam, g, c, caps)]
+    assert list(offsets_up_to(g.n, bound, [(g.a[j], cap) for j, cap in caps.items()])) == [
+        c for c in product(range(bound + 1), repeat=g.n)
+        if sum(c) <= bound and in_parabolic_dominant(lam, g, c, caps)]
 
 
 @pytest.mark.parametrize("m", [
