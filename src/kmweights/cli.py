@@ -307,7 +307,7 @@ def _dispatch(args, stdout) -> int:
         elif args.method == "orbit":
             ws = modweights.wt_simple_orbit(lam, g, args.height)
         elif args.method == "hull":
-            ws = modweights.hull_weight_set(model, g.n, args.height)
+            ws = modweights.hull_weight_set(model, args.height)
         else:
             ws = oracle.oracle_weight_set(lam, g, args.height)
         if args.format == "svg":

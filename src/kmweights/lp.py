@@ -15,9 +15,9 @@ y^T b > 0).  Passing a `Proof` collects what the final tableau shows:
 * feasible: the final basis B and B^-1 as integer rows over one scale.
   Every b' with B^-1 b' >= 0 and zero artificial entries is feasible too.
 
-`Certificates` keeps the proofs of earlier solves on one fixed A.  It
-checks each one exactly before trusting it: a Farkas vector when it is
-stored, and a basis each time it decides a new b'.
+`Certificates.decide(b)` answers for one fixed A and many b: by a proof of
+an earlier solve when one applies, else by one solve.  Each proof is checked
+exactly: a Farkas vector when it is stored, a basis each time it decides a b'.
 """
 
 from __future__ import annotations
@@ -79,15 +79,13 @@ class Proof:
 
     __slots__ = ("farkas", "basis", "inverse", "scale")
 
-    def __init__(self, farkas: list[int] | None = None, basis: list[int] | None = None,
-                 inverse: list[list[int]] | None = None, scale: int = 1):
-        self.farkas, self.basis, self.inverse, self.scale = farkas, basis, inverse, scale
+    def __init__(self):
+        self.farkas, self.basis, self.inverse, self.scale = None, None, None, 1
 
 
-def feasible(
-    a: Sequence[Vector], b: Vector, proof: Proof | None = None
-) -> list[Fraction] | None:
-    """Return some x >= 0 with A x = b, or None if the system is infeasible.
+def feasible(a: Sequence[Vector], b: Vector,
+             proof: Proof | None = None) -> dict[int, Fraction] | None:
+    """A basic solution {j: x_j} of A x = b, x >= 0, or None if there is none.
 
     When `proof` is given, the solve's certificate is written into it.
     Each integer tableau row is a positive multiple of the rational one, so
@@ -143,14 +141,12 @@ def feasible(
     # artificial columns hold d_k B^-1 of the scaled rows.
     diag = [tab[k][basis[k]] for k in range(m)]
     if proof is not None:
-        common = lcm(*diag)
-        proof.basis, proof.scale = list(basis), common
+        proof.basis, proof.scale = basis, lcm(*diag)
         proof.inverse = [
-            [common // diag[k] * tab[k][n + i] * factors[i] for i in range(m)]
+            [proof.scale // diag[k] * tab[k][n + i] * factors[i] for i in range(m)]
             for k in range(m)
         ]
-    x = {basis[k]: Fraction(tab[k][rhs], diag[k]) for k in range(m)}
-    return [x.get(j, Fraction(0)) for j in range(n)]
+    return {basis[k]: Fraction(tab[k][rhs], diag[k]) for k in range(m) if basis[k] < n}
 
 
 def _dot(u: Vector, v: Vector) -> Rational:
@@ -158,37 +154,37 @@ def _dot(u: Vector, v: Vector) -> Rational:
 
 
 class Certificates:
-    """Exactly checked proofs of earlier solves of A x = b, x >= 0, for one A.
+    """Feasibility of A x = b, x >= 0, for one A and many b.
 
-    `decide(b)` answers from the stored proofs when one applies; `learn`
-    stores the proof of a fresh `feasible` solve.  With integral A and b
-    every check is an integer dot product.
+    The exactly checked proofs of earlier solves are kept: Farkas vectors in
+    `farkas`, feasible bases (as their `Proof`) in `bases`.  With integral A
+    and b every check is an integer dot product.
     """
 
     def __init__(self, a: Sequence[Vector]):
         self.a = [list(row) for row in a]
         self.n = len(self.a[0]) if self.a else 0
         self.farkas: list[list[int]] = []
-        self.bases: list[tuple[list[int], list[list[int]], int]] = []
+        self.bases: list[Proof] = []
 
-    def decide(self, b: Vector) -> bool | None:
-        """Feasibility of A x = b if a stored proof settles it, else None."""
+    def decide(self, b: Vector) -> bool:
+        """Whether A x = b has some x >= 0: by a stored proof that settles b,
+        else by one `feasible` solve, whose proof is kept if it checks exactly.
+        """
         for y in self.farkas:
             if _dot(y, b) > 0:
                 return False
-        for basis in self.bases:
-            if self._scaled_solution(*basis, b) is not None:
+        for proof in self.bases:
+            if self._scaled_solution(proof, b) is not None:
                 return True
-        return None
-
-    def learn(self, b: Vector, proof: Proof) -> None:
-        """Store the proofs of a solve for b that check exactly; drop the rest."""
-        if proof.farkas is not None and self.is_farkas(proof.farkas, b):
-            self.farkas.append(proof.farkas)
-        if proof.basis is not None and proof.inverse is not None:
-            basis = (proof.basis, proof.inverse, proof.scale)
-            if self._scaled_solution(*basis, b) is not None:
-                self.bases.append(basis)
+        proof = Proof()
+        if feasible(self.a, b, proof) is None:
+            if self.is_farkas(proof.farkas, b):
+                self.farkas.append(proof.farkas)
+            return False
+        if self._scaled_solution(proof, b) is not None:
+            self.bases.append(proof)
+        return True
 
     def is_farkas(self, y: Vector, b: Vector) -> bool:
         """y^T A <= 0 on every column and y^T b > 0: A x = b has no x >= 0."""
@@ -196,22 +192,20 @@ class Certificates:
             _dot(y, [row[j] for row in self.a]) <= 0 for j in range(self.n)
         )
 
-    def _scaled_solution(
-        self, basis: Sequence[int], inverse: Sequence[Vector], scale: int, b: Vector
-    ) -> dict[int, Rational] | None:
+    def _scaled_solution(self, proof: Proof, b: Vector) -> dict[int, Rational] | None:
         """{j: scale * x_j} for the basic j < n, or None if the basis fails.
 
         Artificial basic entries must be 0, and A_B x_B = b is checked
         exactly, so a wrong inverse can only make this return None.
         """
         x_b = {}
-        for j, row in zip(basis, inverse):
+        for j, row in zip(proof.basis, proof.inverse):
             v = _dot(row, b)
             if v < 0 or (j >= self.n and v != 0):
                 return None
             if j < self.n:
                 x_b[j] = v
         for row, bi in zip(self.a, b):
-            if sum(row[j] * v for j, v in x_b.items()) != scale * bi:
+            if sum(row[j] * v for j, v in x_b.items()) != proof.scale * bi:
                 return None
         return x_b

@@ -11,7 +11,7 @@ from collections.abc import Iterable
 
 from .cartan import GCM, closure, components
 from .errors import Inapplicable
-from .lp import Certificates, Proof, feasible
+from .lp import Certificates
 from .roots import positive_imaginary_up_to, positive_real_up_to
 from .weights import (
     HighestWeight,
@@ -125,21 +125,16 @@ def hull_contains(model: HullModel, c: Offset) -> bool:
     an earlier call on the same model proved, and that checks exactly for
     c, decides c without a new LP.
     """
-    certs = model.certificates
-    b = [*c, 1]
-    known = certs.decide(b)
-    if known is None:
-        proof = Proof()
-        known = feasible(certs.a, b, proof) is not None
-        certs.learn(b, proof)
-    return known
+    return model.certificates.decide([*c, 1])
 
 
-def hull_weight_set(model: HullModel, n: int, bound: int) -> WeightSet:
-    """Offsets of height <= bound (rank n) that `model` certifies.
+def hull_weight_set(model: HullModel, bound: int) -> WeightSet:
+    """Offsets of height <= bound that `model` certifies.
 
-    The set is flagged incomplete unless the model has every generator.
+    The model's LP has rank + 1 rows.  The set is flagged incomplete unless
+    the model has every generator.
     """
+    n = len(model.certificates.a) - 1
     members = frozenset(c for c in offsets_up_to(n, bound) if hull_contains(model, c))
     return WeightSet(members, model.complete)
 
@@ -151,7 +146,7 @@ def wt_simple_hull(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
     from `hull_model` decides every candidate; its certificate caches
     leave an LP only for the candidates no earlier proof settles.
     """
-    return hull_weight_set(hull_model(lam, g, bound, None), g.n, bound)
+    return hull_weight_set(hull_model(lam, g, bound, None), bound)
 
 
 def wt_parabolic_verma(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kmweights import lp, modweights
+from kmweights import lp
 from kmweights.cartan import parse_gcm
 from kmweights.errors import BudgetExceeded, Inapplicable
 from kmweights.modweights import (
@@ -135,7 +135,7 @@ def test_hull_contains_segment_interior_and_exterior():
 
 
 def test_hull_set_sl2():
-    ws = hull_weight_set(hull_model(HighestWeight.of([3]), A1, 10, 2), 1, 10)
+    ws = hull_weight_set(hull_model(HighestWeight.of([3]), A1, 10, 2), 10)
     assert sorted(ws.members) == [(0,), (1,), (2,), (3,)]
 
 
@@ -228,7 +228,6 @@ def test_hull_generators_over_budget_before_any_lp(monkeypatch):
         raise AssertionError("lp.feasible called")
 
     monkeypatch.setattr(lp, "feasible", no_lp)
-    monkeypatch.setattr(modweights, "feasible", no_lp)
     g = parse_gcm([[2, -1, -1], [-3, 2, -3], [-3, -3, 2]])
     with pytest.raises(BudgetExceeded, match=(
         "^100001 points by reflection distance 16; budget 100000$"
@@ -257,7 +256,7 @@ def test_complete_hull_is_the_slice_set(case, depth):
     bound = H_BY_RANK[g.n]
     model = hull_model(lam, g, bound, depth)
     assume(model.complete)
-    assert hull_weight_set(model, g.n, bound).members == wt_simple_slice(lam, g, bound).members
+    assert hull_weight_set(model, bound).members == wt_simple_slice(lam, g, bound).members
 
 
 @pytest.mark.parametrize("bound", [0, 4])
