@@ -17,6 +17,7 @@ import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import mul
 
@@ -193,15 +194,20 @@ def _emit(doc: object, out) -> None:
     out.write("\n")
 
 
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
 def _json_text(v: object, newline: str) -> str:
     """json.dumps(v, indent=2, sort_keys=True) by str.join, one level per call, where
     `newline` is a line break plus the indent of v's own line."""
     if type(v) is int:
         return str(v)
+    if type(v) is str:
+        return encode_basestring_ascii(v)  # the ASCII escapes json.dumps writes
     if not isinstance(v, (dict, list, tuple)):
-        return json.dumps(v)  # ASCII escapes, true, false and null as json writes them
+        return _JSON_CONSTANTS[v] if type(v) is bool or v is None else json.dumps(v)
     inner = newline + "  "
-    items = ([json.dumps(k) + ": " + _json_text(v[k], inner) for k in sorted(v)]
+    items = ([encode_basestring_ascii(k) + ": " + _json_text(v[k], inner) for k in sorted(v)]
              if isinstance(v, dict) else [_json_text(x, inner) for x in v])
     ends = "{}" if isinstance(v, dict) else "[]"
     return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends

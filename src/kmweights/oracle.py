@@ -7,12 +7,15 @@ offset are such a set (`simple_multiplicity`).  So is the recursive set
 {f_i f_w v_lambda : w in B(c - e_i)} built from word bases of the weight
 spaces just above, since L(lambda)_mu = sum_i f_i L(lambda)_{mu + alpha_i}
 for mu != lambda (Kac, Infinite dimensional Lie algebras, ch. 9;
-Kac-Kazhdan 1979); `word_bases` walks the offsets that way.  Everything
-is exact.
+Kac-Kazhdan 1979); `word_bases` walks the offsets that way.  `GramBuilder`
+pairs by <f_u v_lambda, f_v v_lambda> = <f_{u[1:]} v_lambda, e_{u_0} f_v v_lambda>,
+keeping each e_i f_v v_lambda, built from that of v's tail, and each value,
+in the row of its left word.  Everything is exact.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import product
 from math import comb
 
@@ -57,25 +60,6 @@ def words_of_offset(c: Offset) -> list[LoweringWord]:
     return table[c]
 
 
-def _apply_e(
-    q: list[int], row: list[int], i: int, word: LoweringWord
-) -> list[tuple[int, LoweringWord]]:
-    """e_i f_{word} v_lambda as a combination of shorter words, scaled by d.
-
-    [e_i, f_j] = delta_ij h_i, and h_i is scalar on each tail weight:
-    (h_i, lambda - sum of the tail's alphas), accumulated right to left.
-    q[j] is d * (h_j, lambda) and row is d times row i of A.
-    """
-    out = []
-    coeff = q[i]  # d * (h_i, lambda - c) for the offset c of word[m + 1:]
-    for m in range(len(word) - 1, -1, -1):
-        letter = word[m]
-        if letter == i and coeff:
-            out.append((coeff, word[:m] + word[m + 1 :]))
-        coeff -= row[letter]
-    return out
-
-
 class GramBuilder:
     """Caches contravariant-form values for one (lambda, g), in integers.
 
@@ -84,26 +68,42 @@ class GramBuilder:
     by one coefficient d * (h_i, lambda - c), an integer since A is
     integral.  All words of one offset have one length, so a Gram matrix of
     integer forms is a positive multiple of the rational one, with the same
-    rank and the same independent rows.
+    rank and the same independent rows.  Values sit in one row per left word.
     """
 
     def __init__(self, lam: HighestWeight, g: GCM):
         self.scale, self._q = integer_row(lam.q)
         self._a = [[self.scale * x for x in row] for row in g.a]
-        self._cache: dict[tuple[LoweringWord, LoweringWord], int] = {}
+        self._raised = [{(): []} for _ in g.a]  # _raised[i][v] = _raise(i, v)
+        self._rows = defaultdict(dict, {(): {(): 1}})  # _rows[u][v] = form(u, v)
+
+    def _raise(self, i: int, v: LoweringWord) -> list[tuple[int, LoweringWord]]:
+        """e_i f_v v_lambda as (coefficient, shorter word) terms, scaled by d.
+
+        e_i f_{v_0} = f_{v_0} e_i + delta_{i v_0} h_i, and h_i is the scalar
+        d * (h_i, lambda - sum of the tail's alphas) on f_{v[1:]} v_lambda.
+        """
+        terms = self._raised[i].get(v)
+        if terms is None:
+            head, tail = v[0], v[1:]
+            terms = [(coeff, (head,) + w) for coeff, w in self._raise(i, tail)]
+            coeff = self._q[i] - sum(map(self._a[i].__getitem__, tail)) if head == i else 0
+            if coeff:
+                terms.append((coeff, tail))
+            self._raised[i][v] = terms
+        return terms
 
     def form(self, u: LoweringWord, v: LoweringWord) -> int:
-        if not u:
-            return 0 if v else 1
-        key = (u, v)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for coeff, shorter in _apply_e(self._q, self._a[u[0]], u[0], v):
-            total += coeff * self.form(u[1:], shorter)
-        self._cache[key] = total
-        return total
+        row = self._rows[u]
+        value = row.get(v)
+        if value is None:
+            value, rest = 0, u[1:]
+            tail = self._rows[rest]
+            for coeff, w in self._raise(u[0], v) if u else ():
+                known = tail.get(w)
+                value += coeff * (self.form(rest, w) if known is None else known)
+            row[v] = value
+        return value
 
 
 def _gram(builder: GramBuilder, words: list[LoweringWord]) -> list[list[int]]:

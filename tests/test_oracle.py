@@ -91,6 +91,22 @@ def test_integer_form_matches_rational_recursion(case, data):
     assert gram_entry(lam, g, u, v) == _rational_form(lam, g, u, v)
 
 
+@given(small_gcms_and_weights(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_shared_builder_matches_rational_recursion(case, data):
+    # One builder answers every word pair of a few offsets in a drawn order,
+    # so later entries read the raising terms and form rows that earlier
+    # ones stored; each must still be d^k times the uncached rational form.
+    g, lam = case
+    offset = st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n).map(tuple)
+    offsets = data.draw(st.lists(offset.filter(lambda c: sum(c) <= 4), min_size=2, max_size=4))
+    pairs = [(u, v) for c in offsets for u in words_of_offset(c) for v in words_of_offset(c)]
+    builder = GramBuilder(lam, g)
+    for u, v in data.draw(st.permutations(pairs)):
+        expect = _rational_form(lam, g, u, v) * builder.scale ** len(u)
+        assert builder.form(u, v) == expect, (u, v)
+
+
 def test_integer_form_scale_six_to_the_fourth():
     # Denominators 2 and 3, so the form is scaled by 6^4 on these words.
     lam = HighestWeight.of([Fraction(1, 2), Fraction(-1, 3)])

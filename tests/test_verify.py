@@ -7,6 +7,7 @@ from kmweights import verify
 from kmweights.cartan import parse_gcm
 from kmweights.errors import Inapplicable
 from kmweights.modweights import wt_simple_orbit, wt_simple_slice
+from kmweights.oracle import oracle_weight_set, simple_multiplicity
 from kmweights.roots import positive_imaginary_up_to
 from kmweights.series import finite_weyl_group
 from kmweights.verify import (
@@ -94,7 +95,9 @@ FIG_RIGHT_LAM = HighestWeight.of(["1", "2", "-1/2"])
     lambda: wt_simple_slice(FIG_RIGHT_LAM, FIG_RIGHT, 8),
     lambda: wt_simple_orbit(FIG_RIGHT_LAM, FIG_RIGHT, 8),
     lambda: positive_imaginary_up_to(FIG_RIGHT, 8),
-], ids=["capped_offsets", "slice", "orbit", "imaginary_roots"])
+    lambda: oracle_weight_set(FIG_RIGHT_LAM, FIG_RIGHT, 6),
+    lambda: simple_multiplicity(FIG_RIGHT_LAM, FIG_RIGHT, (1, 1, 1)),
+], ids=["capped_offsets", "slice", "orbit", "imaginary_roots", "oracle", "multiplicity"])
 def test_weight_scans_leave_no_reference_cycles(scan):
     gc.collect()
     gc.disable()
