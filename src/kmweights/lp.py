@@ -2,9 +2,11 @@
 
 No floating point anywhere: the affine cases this package cares about sit
 exactly on the finite/indefinite boundary.  One fraction-free step serves
-the rank (`independent_rows`) and the simplex (`feasible`): `integer_row`
-scales a rational row to integers, and `reduce` eliminates one column of a
-row against a pivot row and divides out the gcd of the result.
+the rank (`independent_rows`) and the simplex (`feasible`): `reduce`
+eliminates one column of a row against a pivot row and divides out the gcd
+of the result.  `independent_rows` takes integer rows and keeps an echelon
+sorted by pivot, each row from its pivot on; `integer_row` scales a
+rational row to integers for `feasible` and `GramBuilder`.
 
 A solve also settles other right-hand sides b' of the same A (Farkas'
 lemma: either A x = b has a solution x >= 0, or some y has y^T A <= 0 and
@@ -22,6 +24,7 @@ exactly: a Farkas vector when it is stored, a basis each time it decides a b'.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
@@ -49,22 +52,28 @@ def reduce(row: Sequence[int], pivot_row: Sequence[int], col: int) -> list[int]:
     return [x // content for x in r] if content > 1 else r
 
 
-def independent_rows(rows: Sequence[Vector]) -> list[int]:
-    """Indices of the rows independent of the rows before them.
+def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the integer rows independent of the rows before them.
 
-    Each row is scaled to integers and reduced by the echelon rows kept so
-    far; it is kept when something is left, so the kept rows count the rank.
+    The echelon is sorted by pivot column and keeps each row from its pivot
+    on.  A row is reduced on its tail at each pivot in turn until it has a
+    nonzero entry before the next pivot (or after the last): it is then
+    independent, and is kept from its first nonzero entry on.  So the kept
+    rows count the rank.
     """
     kept: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row[pivot:])
     for index, row in enumerate(rows):
-        _, r = integer_row(row)
+        r, lead = list(row), 0  # r is zero before lead
         for col, prow in echelon:
+            if any(r[lead:col]):
+                break
             if r[col]:
-                r = reduce(r, prow, col)
-        col = next((k for k, x in enumerate(r) if x), None)
-        if col is not None:
-            echelon.append((col, r))
+                r[col:] = reduce(r[col:], prow, 0)
+            lead = col + 1
+        lead = next((k for k in range(lead, len(r)) if r[k]), None)
+        if lead is not None:
+            insort(echelon, (lead, r[lead:]))
             kept.append(index)
     return kept
 

@@ -20,7 +20,7 @@ from itertools import product
 from math import comb
 
 from .cartan import GCM
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InputError
 from .lp import independent_rows, integer_row
 from .modweights import WeightSet
 from .weights import HighestWeight, Offset, offsets_up_to
@@ -99,7 +99,7 @@ class GramBuilder:
         if value is None:
             value, rest = 0, u[1:]
             tail = self._rows[rest]
-            for coeff, w in self._raise(u[0], v) if u else ():
+            for coeff, w in (self._raised[u[0]].get(v) or self._raise(u[0], v)) if u else ():
                 known = tail.get(w)
                 value += coeff * (self.form(rest, w) if known is None else known)
             row[v] = value
@@ -111,14 +111,14 @@ def _gram(builder: GramBuilder, words: list[LoweringWord]) -> list[list[int]]:
     gram = [[0] * k for _ in range(k)]
     for a in range(k):
         for b in range(a, k):
-            val = builder.form(words[a], words[b])
-            gram[a][b] = val
-            gram[b][a] = val
+            gram[a][b] = gram[b][a] = builder.form(words[a], words[b])
     return gram
 
 
 def simple_multiplicity(lam: HighestWeight, g: GCM, c: Offset) -> int:
     """dim L(lambda)_{lambda - c}: Gram rank on all words of offset c."""
+    if len(c) != g.n or not all(isinstance(k, int) and k >= 0 for k in c):
+        raise InputError(f"offset {c} needs {g.n} nonnegative integer entries")
     count = word_count(c)
     if count > WORD_BUDGET:
         raise BudgetExceeded(f"{count} words at offset {c} exceeds {WORD_BUDGET}")

@@ -45,6 +45,32 @@ def corpus():
             yield name, g, lam, qs
 
 
+def fraction_independent_rows(rows):
+    """Reference for `lp.independent_rows`: row k is kept when it raises the
+    rank of the rows kept before it, each rank by Gaussian elimination in
+    Fractions from scratch."""
+
+    def rank(m):
+        m = [[Fraction(x) for x in row] for row in m]
+        r = 0
+        for col in range(len(m[0]) if m else 0):
+            pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+            if pivot is None:
+                continue
+            m[r], m[pivot] = m[pivot], m[r]
+            for i in range(r + 1, len(m)):
+                f = m[i][col] / m[r][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            r += 1
+        return r
+
+    kept = []
+    for k, row in enumerate(rows):
+        if rank([rows[j] for j in kept] + [row]) > len(kept):
+            kept.append(k)
+    return kept
+
+
 PAIRINGS = [0, 1, 2, -1, Fraction(-1, 2), Fraction(-3, 2), Fraction(1, 3)]
 
 

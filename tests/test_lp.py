@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from kmweights import lp
 from kmweights.cartan import parse_gcm
-from kmweights.lp import Certificates, Proof, feasible
+from kmweights.lp import Certificates, Proof, feasible, independent_rows
 from kmweights.modweights import (
     hull_contains,
     hull_generators,
@@ -14,7 +14,7 @@ from kmweights.modweights import (
 )
 from kmweights.weights import HighestWeight, offsets_up_to
 
-from conftest import CORPUS_CASES, small_gcms_and_weights
+from conftest import CORPUS_CASES, fraction_independent_rows, small_gcms_and_weights
 
 AFF_RANK3 = parse_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
@@ -213,3 +213,31 @@ def test_hull_needs_few_lp_solves(monkeypatch):
     assert len(ws.members) == 31
     assert len(results) == 24
     assert sum(x is None for x in results) == 9
+
+
+@st.composite
+def rank_matrices(draw):
+    """Integer rows: random ones with integer combinations of earlier rows
+    inserted, or a symmetric indefinite B^T D B of low rank."""
+    entry = st.integers(-5, 5)
+    width = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        b = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=8))
+        d = draw(st.lists(st.integers(-3, 3), min_size=len(b), max_size=len(b)))
+        return [
+            [sum(b[k][i] * d[k] * b[k][j] for k in range(len(b))) for j in range(width)]
+            for i in range(width)
+        ]
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows)))
+        coeffs = draw(st.lists(entry, min_size=at, max_size=at))
+        combo = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(width)]
+        rows.insert(at, combo)
+    return rows
+
+
+@given(rank_matrices())
+@settings(max_examples=300, deadline=None)
+def test_independent_rows_match_fraction_elimination(rows):
+    assert independent_rows(rows) == fraction_independent_rows(rows)

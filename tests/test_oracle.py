@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kmweights import oracle
 from kmweights.cartan import parse_gcm
-from kmweights.errors import BudgetExceeded
+from kmweights.errors import BudgetExceeded, InputError
 from kmweights.lp import independent_rows
 from kmweights.oracle import (
     GramBuilder,
@@ -23,7 +23,7 @@ from kmweights.roots import positive_real_up_to
 from kmweights.weights import HighestWeight, ht, offsets_up_to
 from kmweights.weyl import reflect_weight
 
-from conftest import small_gcms_and_weights
+from conftest import fraction_independent_rows, small_gcms_and_weights
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -233,12 +233,15 @@ def test_oracle_weight_set_affine_matches_slice():
 
 
 def test_independent_rows_are_first_spanning_rows():
-    f = Fraction
-    rows = [[f(0), f(0)], [f(1, 2), f(1)], [f(-1), f(-2)], [f(0), f(3, 7)], [f(5), f(1)]]
+    rows = [[0, 0], [7, 14], [-14, -28], [0, 6], [70, 14]]
     assert independent_rows(rows) == [1, 3]
     assert independent_rows([]) == []
     # Symmetric, indefinite: row 0 is independent though its diagonal is 0.
-    assert independent_rows([[f(0), f(1)], [f(1), f(0)]]) == [0, 1]
+    assert independent_rows([[0, 1], [1, 0]]) == [0, 1]
+    # Row 1 is nonzero in column 0, before row 0's pivot (column 1), so it
+    # is independent and kept from column 0 on.  Reduced past that entry,
+    # it would be kept from column 2 on and row 2 would look dependent.
+    assert independent_rows([[0, 1, 0], [1, 1, 2], [1, 0, 1]]) == [0, 1, 2]
 
 
 def test_word_bases_adjoint_a2(monkeypatch):
@@ -270,6 +273,36 @@ def test_recursive_bases_match_all_words_and_slice(case):
     members = {c for c, basis in bases.items() if basis}
     assert oracle_weight_set(lam, g, bound).members == members
     assert members == wt_simple_slice(lam, g, bound).members
+
+
+@given(small_gcms_and_weights())
+@settings(max_examples=30, deadline=None)
+def test_word_bases_match_fraction_rank_reference(case):
+    # The bases themselves, not only their sizes: each candidate Gram is
+    # built entry by entry from `GramBuilder.form` and ranked in Fractions.
+    g, lam = case
+    bound = H_BY_RANK[g.n]
+    builder = GramBuilder(lam, g)
+    expect = {}
+    for c in offsets_up_to(g.n, bound):
+        if not any(c):
+            expect[c] = [()]
+            continue
+        candidates = [
+            (i,) + w for i in range(g.n) if c[i]
+            for w in expect[c[:i] + (c[i] - 1,) + c[i + 1 :]]
+        ]
+        gram = [[builder.form(u, v) for v in candidates] for u in candidates]
+        expect[c] = [candidates[k] for k in fraction_independent_rows(gram)]
+    assert word_bases(lam, g, bound) == expect
+
+
+@pytest.mark.parametrize("c", [(-1, 0), (1,), (0, 0, 0), (1.0, 1)])
+def test_multiplicity_offset_must_fit_the_rank(c):
+    # Unchecked, (-1, 0) raised ValueError from math.comb, (1.0, 1) a
+    # TypeError, and (1,) and (0, 0, 0) returned 1.
+    with pytest.raises(InputError, match="needs 2 nonnegative integer entries"):
+        simple_multiplicity(HighestWeight.of([1, 1]), A2, c)
 
 
 def test_oracle_budget_checked_before_gram_entries(monkeypatch):
