@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable
 
 from .cartan import GCM, is_finite_type
@@ -20,7 +19,7 @@ from .weights import (
 )
 from .weyl import reflect_weight, stabilizer_is_finite
 
-# Largest |W| * |P| (terms that the denominator check transports); D4 is
+# Largest |W| * |P| while the denominator check multiplies out P; D4 is
 # 600,192 and fits, A5 is over it after 17 of the 25 factors of P.
 DENOMINATOR_BUDGET = 10 ** 6
 
@@ -64,10 +63,11 @@ def verify_denominator_bases(g: GCM) -> Report:
 
     The bases are the images w(Pi) for w in W, and w permutes Phi, so the
     term of the base w(Pi) is w applied to P = prod over Phi minus Pi of
-    (1 - e^{-a}).  The terms w(P) are subtracted from an independent product
-    over all of Phi, exactly on the root lattice.  P is multiplied out one
-    factor at a time, and BudgetExceeded is raised as soon as |W| times the
-    terms of the partial product is over DENOMINATOR_BUDGET.
+    (1 - e^{-a}).  Their sum, one W-orbit of P's exponents at a time, is
+    subtracted from an independent product over all of Phi, exactly on the
+    root lattice.  P is multiplied out one factor at a time, and
+    BudgetExceeded is raised as soon as |W| times the terms of the partial
+    product is over DENOMINATOR_BUDGET.
     """
     if not is_finite_type(g):
         raise Inapplicable("denominator identity requires finite type")
@@ -90,28 +90,20 @@ def verify_denominator_bases(g: GCM) -> Report:
     diff = {0: 1}
     for a in all_roots:
         diff = mul_keys(diff, {0: 1, -encode(a, powers): -1}, limit)
-    # s_i c = c - (A c)_i alpha_i, so key(w c) = key(w' c) + (A c)_i key(w alpha_i)
-    # for w = w' s_i: one list of keys walks the tree of reduced words and back,
-    # a step forward (+1) on the way down and back (-1) after the subtree.
-    terms = [decode(k, base, g.n, base // 2) for k in p]
-    pairings = [[cartan_pairing(g, c, i) for c in terms] for i in range(g.n)]
-    children = defaultdict(list)
-    for w in elements[1:]:
-        children[w.word[:-1]].append(w)
-    keys, todo = list(p), [(elements[0], 1)]
-    while todo:
-        w, sign = todo.pop()
-        if w.word:
-            i = w.word[-1]
-            step = sign * encode(w.simple_images[i], powers)
-            keys = [k + a * step for k, a in zip(keys, pairings[i])]
-        if sign > 0:
-            # W acts simply transitively on bases, so each base is subtracted
-            # once; a repeated w would subtract its term twice and FAIL.
-            for k, v in zip(keys, p.values()):
-                diff[k] = diff.get(k, 0) - v
-            todo.append((w, -1))
-            todo.extend((c, 1) for c in children[w.word])
+    # The sum over W of w(P) is the sum over dominant d of S(d) times the sum
+    # over W of e^{wd}, S(d) being P's coefficient sum on the orbit W d.  Each
+    # round pops its start, so it ends even if a missing w leaves that out.
+    images = [[encode(a, powers) for a in w.simple_images] for w in elements]
+    while p:
+        k0, s = p.popitem()
+        d = list(decode(k0, base, g.n, base // 2))
+        while min(a := [cartan_pairing(g, d, i) for i in range(g.n)]) < 0:
+            i = a.index(min(a))
+            d[i] -= a[i]  # s_i d = d - (A d)_i alpha_i
+        orbit = [encode(d, k) for k in images]
+        s += sum(p.pop(k, 0) for k in set(orbit))
+        for k in orbit:
+            diff[k] = diff.get(k, 0) - s
     left = sorted((decode(k, base, g.n, base // 2), v) for k, v in diff.items() if v)
     return Report(
         "denominator",

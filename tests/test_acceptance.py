@@ -98,8 +98,13 @@ def test_ac4_atiyah_bott_multiplicities(matrix, q, H):
         ([[2, -1], [-2, 2]], 8, 8),
         ([[2, -1], [-3, 2]], 12, 12),
         ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 48, 18),
+        ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], 48, 18),
+        ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 192, 24),
+        ([[2, 0], [0, 2]], 4, 4),
+        ([[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]], 36, 12),
+        ([[2, -1, 0], [-3, 2, 0], [0, 0, 2]], 24, 14),
     ],
-    ids=["A1", "A2", "B2", "G2", "B3"],
+    ids=["A1", "A2", "B2", "G2", "B3", "C3", "D4", "A1xA1", "A2xA2", "G2xA1"],
 )
 def test_ac5_denominator_bases(matrix, bases, roots):
     r = verify_denominator_bases(parse_gcm(matrix))

@@ -16,7 +16,7 @@ from kmweights.verify import (
     verify_rank2_macdonald,
     verify_wkw_vs_weights,
 )
-from kmweights.weights import HighestWeight, neg, offsets_up_to
+from kmweights.weights import HighestWeight, cartan_pairing, neg, offsets_up_to
 
 from conftest import CORPUS_MATRICES, apply, keyed_laurent
 
@@ -51,23 +51,50 @@ B3 = parse_gcm([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
 A4 = parse_gcm([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
 
 
-@pytest.mark.parametrize("g", [B3, A4, G2], ids=["B3", "A4", "G2"])
-def test_denominator_repeated_element_leaves_its_image_of_p(g, monkeypatch):
-    # With the longest element w0 listed twice, the difference is -w0(P),
-    # whose exponents have coordinates of both signs up to (2 rho)_k.
-    elements, pos = finite_weyl_group(HighestWeight.of([0] * g.n), g)
-    w0 = elements[-1]
-    monkeypatch.setattr(verify, "finite_weyl_group",
-                        lambda lam, g: (elements + [w0], pos))
-    r = verify_denominator_bases(g)
-    assert not r.passed
+def folded_p(g, elements, pos):
+    """P = prod over Phi minus Pi of (1 - e^{-a}) folded onto the dominant
+    chamber: each exponent c moves to the one point of its W-orbit whose
+    pairings are all >= 0, and coefficients on one orbit add up."""
     simple = set(elements[0].simple_images)
     p = keyed_laurent(g.n, [neg(a) for a in pos + [neg(a) for a in pos]
                             if a not in simple])
-    want = sorted((apply(w0, c), -v) for c, v in p.items())
+    folded = {}
+    for c, v in p.items():
+        (d,) = {x for x in (apply(w, c) for w in elements)
+                if all(cartan_pairing(g, x, i) >= 0 for i in range(g.n))}
+        folded[d] = folded.get(d, 0) + v
+    return {d: v for d, v in folded.items() if v}
+
+
+@pytest.mark.parametrize("g,repeat", [(g, j) for j in (-1, 0) for g in (B3, A4, G2)],
+                         ids=["B3", "A4", "G2", "B3-identity", "A4-identity", "G2-identity"])
+def test_denominator_repeated_element_leaves_its_image_of_p(g, repeat, monkeypatch):
+    # The check sums P over each W-orbit onto its dominant point d and then
+    # subtracts that sum at w d once per listed w.  A repeated element w leaves
+    # -w(P folded): for w0 its exponents reach the negative digit edge -2 rho,
+    # for the identity the positive one.
+    elements, pos = finite_weyl_group(HighestWeight.of([0] * g.n), g)
+    w = elements[repeat]
+    monkeypatch.setattr(verify, "finite_weyl_group",
+                        lambda lam, g: (elements + [w], pos))
+    r = verify_denominator_bases(g)
+    assert not r.passed
+    want = sorted((apply(w, d), -v) for d, v in folded_p(g, elements, pos).items())
+    assert want
     assert r.details["difference"] == [
         {"exponent": list(c), "coefficient": v} for c, v in want
     ]
+
+
+@pytest.mark.parametrize("g", [G2, B3], ids=["G2", "B3"])
+def test_denominator_fails_without_any_one_element(g, monkeypatch):
+    # Dropping w can take the starting exponent of a fold out of its own
+    # orbit list; the check must still end, and FAIL.
+    elements, pos = finite_weyl_group(HighestWeight.of([0] * g.n), g)
+    for j in range(len(elements)):
+        kept = elements[:j] + elements[j + 1:]
+        monkeypatch.setattr(verify, "finite_weyl_group", lambda lam, g: (kept, pos))
+        assert not verify_denominator_bases(g).passed, elements[j].word
 
 
 def test_offsets_and_denominator_check_leave_no_reference_cycles():
