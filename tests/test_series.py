@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kmweights.cartan import is_finite_type, parse_gcm
@@ -328,6 +328,8 @@ FINITE_AB = {
     "A1": [[2]], "A2": [[2, -1], [-1, 2]], "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
     "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
     "B2": [[2, -1], [-2, 2]], "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
     "G2": [[2, -1], [-3, 2]],
 }
 
@@ -341,6 +343,9 @@ def finite_dominant_cases(draw):
 
 
 @given(finite_dominant_cases())
+# The two Atiyah-Bott inputs of the series_deep benchmark.
+@example((parse_gcm(FINITE_AB["A4"]), HighestWeight.of([1, 0, 0, 1]), 10))
+@example((parse_gcm(FINITE_AB["B3"]), HighestWeight.of([1, 1, 0]), 16))
 @settings(max_examples=40, deadline=None)
 def test_atiyah_bott_sum_matches_tuple_reference(case):
     g, lam, bound = case
