@@ -26,7 +26,7 @@ from .weights import (
     unit,
     zero_offset,
 )
-from .weyl import levi_nodes, orbit_ball, orbit_truncated, stabilizer_is_finite
+from .weyl import levi_nodes, orbit_truncated, orbit_walk, stabilizer_is_finite
 
 
 class WeightSet:
@@ -99,13 +99,14 @@ def wt_simple_orbit(lam: HighestWeight, g: GCM, bound: int) -> WeightSet:
 def hull_generators(lam: HighestWeight, g: GCM, depth: int) -> HullModel:
     """Ray Decomposition generators on J = I_lambda to reflection distance `depth`.
 
-    Vertices: the ball about offset 0 at lambda.  Rays: minus the ball about the
-    alpha_i, i outside J, at lambda = 0 (coordinate i stays 1: disjoint orbits).
-    A point's distance is the least length of a w in W_J that reaches it."""
+    Two depth-mode `orbit_walk`s.  Vertices: the ball about offset 0 at lambda.
+    Rays: minus the ball about the alpha_i, i outside J, at lambda = 0 (coordinate
+    i stays 1: disjoint orbits).  A point's distance is the least length of a w in
+    W_J that reaches it; the model is complete when both walks are whole."""
     nodes = sorted(integrability_set(lam))
-    vertices, whole = orbit_ball(lam, g, nodes, [zero_offset(g.n)], depth)
-    roots, rays_whole = orbit_ball(HighestWeight.of([0] * g.n), g, nodes, [
-        unit(g.n, i) for i in range(g.n) if i not in nodes], depth)
+    vertices, whole = orbit_walk(lam, g, nodes, [zero_offset(g.n)], depth=depth)
+    roots, rays_whole = orbit_walk(HighestWeight.of([0] * g.n), g, nodes, [
+        unit(g.n, i) for i in range(g.n) if i not in nodes], depth=depth)
     return HullModel(frozenset(vertices), frozenset(map(neg, roots)), whole and rays_whole)
 
 

@@ -31,8 +31,9 @@ from .weights import (
     integrability_set,
     is_negative,
     is_positive,
+    zero_offset,
 )
-from .weyl import WEYL_BUDGET, GroupElement, enumerate_group
+from .weyl import WEYL_BUDGET, GroupElement, enumerate_group, orbit_walk
 
 Keys = dict[int, int]
 
@@ -149,19 +150,22 @@ def atiyah_bott_sum(lam: HighestWeight, g: GCM, bound: int) -> TruncSeries:
     Weyl numerator over the Weyl denominator: prod over beta in Phi^+ of
     (1 - e^{-w beta}) is eps(w) e^{-(rho - w rho)} times its value at w = e, so
     the summand of w is eps(w) e^{-D_w} / prod_beta (1 - e^{-beta}), D_w the
-    displacement lambda + rho - w(lambda + rho) of a walk at the rho-shifted
-    weight.  Expansion in e^{-alpha_i} is a ring map and every D_w is >= 0, so
-    truncating the quotient at the bound truncates the sum term by term.
+    displacement lambda + rho - w(lambda + rho).  The numerator is the height-mode
+    `orbit_walk` of offset 0 at lambda + rho, each point signed by the parity of its
+    distance l(w); every pairing of lambda + rho is >= 1, so the walk keeps exactly
+    the w with ht(D_w) <= bound.  Expansion in e^{-alpha_i} is a ring map and every
+    D_w is >= 0, so truncating the quotient at the bound truncates the sum term by
+    term, and a root over the bound has the factor 1.
     """
     if not is_finite_type(g):
         raise Inapplicable("character sum requires a finite-type diagram")
     if integrability_set(lam) != frozenset(range(g.n)):
         raise Inapplicable("requires dominant integral highest weight")
-    elements, pos = finite_weyl_group(HighestWeight(tuple(q + 1 for q in lam.q)), g)
+    shifted = HighestWeight(tuple(q + 1 for q in lam.q))
     powers, limit = truncated_code(g.n, bound)
-    out = {k: (-1) ** w.length for w in elements
-           if (k := encode(w.displacement, powers)) < limit}
-    for beta in pos:
+    walk, _ = orbit_walk(shifted, g, range(g.n), [zero_offset(g.n)], height=bound)
+    out = {encode(c, powers): (-1) ** d for c, d in walk.items()}
+    for beta in sorted(positive_real_up_to(g, bound)):
         out = mul_keys(out, dict.fromkeys(range(0, limit, encode(beta, powers)), 1), limit)
     return _series(g.n, bound, [out])
 

@@ -5,12 +5,11 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
-from .cartan import GCM, closure, is_finite_type
+from .cartan import GCM, is_finite_type
 from .errors import BudgetExceeded, Inapplicable
 from .weights import (
     HighestWeight,
     Offset,
-    SignedOffset,
     add,
     cartan_pairing,
     ht,
@@ -20,8 +19,9 @@ from .weights import (
     zero_offset,
 )
 
-# Most Weyl group elements (about 1.5 KB each) or hull points (n ints) one walk keeps.
-# E6 (51,840) fits; A8 (362,880) and E7 (2,903,040) do not.
+# Most Weyl group elements (about 1.5 KB each) one enumeration builds, or points (n
+# ints) one orbit_walk keeps, whatever its mode.  E6 (51,840) fits; A8 (362,880) and
+# E7 (2,903,040) do not.
 WEYL_BUDGET = 10 ** 5
 
 
@@ -133,49 +133,42 @@ def enumerate_group(
         frontier = nxt
 
 
-def orbit_truncated(
-    lam: HighestWeight,
-    g: GCM,
-    nodes: Iterable[int],
-    seeds: Iterable[Offset],
-    height: int,
-) -> set[Offset]:
-    """W_J-orbits of `seeds`, J = nodes, truncated at ht <= height.
+def orbit_walk(lam: HighestWeight, g: GCM, nodes: Iterable[int], seeds: Iterable[Offset],
+               height: int | None = None, depth: int | None = None
+               ) -> tuple[dict[Offset, int], bool]:
+    """W_J-orbits of `seeds`, J = nodes, by `reflect_weight` at lambda: each point's
+    reflection distance from the seeds, and whether the walk is whole.
 
-    The closure of the seeds of ht <= height under s_i, i in J, keeping the
-    images of ht <= height.  The pruning loses nothing when the seeds are
-    J-dominant, as height is nondecreasing along the weak order from a
-    dominant start; and at lambda = 0 with the seeds Pi or K, as every
-    positive root descends to a seed by height-lowering reflections.
-    Raises Inapplicable unless J lies in I_lambda.
-    """
+    One breadth-first queue.  Points (seeds included) of ht > `height` are dropped,
+    which loses nothing when the seeds are J-dominant (height is nondecreasing along
+    the weak order from a dominant start) or, at lambda = 0, Pi or K (every positive
+    root descends to a seed by height-lowering reflections).  The walk stops, not
+    whole, once distance `depth` + 1 would add a point.  From offset 0 at a lambda
+    with every (h_i, lambda) >= 1, i in J, each point is lambda - w lambda for one w
+    in W_J, at distance l(w).  Raises BudgetExceeded at point WEYL_BUDGET + 1, and
+    Inapplicable unless J lies in I_lambda."""
     nodes = levi_nodes(lam, nodes)
-    return closure([tuple(c) for c in seeds if ht(c) <= height], lambda cur: [
-        img for i in nodes
-        if (img := reflect_weight(lam, g, i, cur)) is not None and ht(img) <= height
-    ])
-
-
-def orbit_ball(lam: HighestWeight, g: GCM, nodes: Iterable[int], seeds: Iterable[Offset],
-               depth: int) -> tuple[set[Offset], bool]:
-    """Points at reflection distance <= depth from `seeds` under s_i, i in J = nodes, by
-    `reflect_weight` at lambda, and whether distance depth + 1 adds none.  One
-    breadth-first queue, so the walk ends with the orbit whatever the depth.  Raises
-    BudgetExceeded at point WEYL_BUDGET + 1, and Inapplicable unless J lies in I_lambda."""
-    nodes = levi_nodes(lam, nodes)
-    dist = dict.fromkeys(map(tuple, seeds), 0)
+    dist = dict.fromkeys((tuple(c) for c in seeds if height is None or ht(c) <= height), 0)
     queue = list(dist)
     for c in queue:  # the loop also visits what it appends
         for i in nodes:
-            if (img := reflect_weight(lam, g, i, c)) is not None and img not in dist:
-                if dist[c] == depth:  # breadth-first: the whole ball is in dist
-                    return set(dist), False
-                dist[img] = dist[c] + 1
-                queue.append(img)
-                if len(dist) > WEYL_BUDGET:
-                    raise BudgetExceeded(f"{len(dist)} points by reflection "
-                                         f"distance {dist[img]}; budget {WEYL_BUDGET}")
-    return set(dist), True
+            img = reflect_weight(lam, g, i, c)
+            if img is None or img in dist or (height is not None and ht(img) > height):
+                continue
+            if dist[c] == depth:  # breadth-first: the whole ball is in dist
+                return dist, False
+            dist[img] = dist[c] + 1
+            queue.append(img)
+            if len(dist) > WEYL_BUDGET:
+                raise BudgetExceeded(f"{len(dist)} points by reflection "
+                                     f"distance {dist[img]}; budget {WEYL_BUDGET}")
+    return dist, True
+
+
+def orbit_truncated(lam: HighestWeight, g: GCM, nodes: Iterable[int], seeds: Iterable[Offset],
+                    height: int) -> set[Offset]:
+    """The points of the height-mode `orbit_walk`."""
+    return set(orbit_walk(lam, g, nodes, seeds, height=height)[0])
 
 
 def stabilizer_is_finite(lam: HighestWeight, g: GCM) -> bool:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from kmweights.cartan import is_finite_type, parse_gcm
 from kmweights.errors import Inapplicable
+from kmweights.modweights import wt_simple_slice
+from kmweights.roots import positive_real_up_to
 from kmweights.series import (
     LaurentElt,
     TruncSeries,
@@ -189,6 +191,35 @@ def test_atiyah_bott_adjoint_zero_weight():
 def test_atiyah_bott_trivial_module():
     lam = HighestWeight.of([0, 0])
     assert atiyah_bott_sum(lam, A2, 6).terms == {(0, 0): 1}
+
+
+E7 = [[2, 0, -1, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0],
+      [0, -1, -1, 2, -1, 0, 0], [0, 0, 0, -1, 2, -1, 0],
+      [0, 0, 0, 0, -1, 2, -1], [0, 0, 0, 0, 0, -1, 2]]
+E8 = [[2, 0, -1, 0, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0, 0],
+      [0, -1, -1, 2, -1, 0, 0, 0], [0, 0, 0, -1, 2, -1, 0, 0],
+      [0, 0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, 0, -1, 2, -1], [0, 0, 0, 0, 0, 0, -1, 2]]
+
+
+def test_atiyah_bott_e7_56_is_whole_at_height_27():
+    # |W(E7)| is over WEYL_BUDGET; the signed walk keeps only the w with ht(D_w) <= 27.
+    g, lam = parse_gcm(E7), HighestWeight.of([0] * 6 + [1])
+    ab = atiyah_bott_sum(lam, g, 27).terms
+    # Weyl dimension, simply laced: prod over beta > 0 of (lambda + rho, beta) / (rho, beta).
+    pos = positive_real_up_to(g, 6 * g.n)
+    assert sum(ab.values()) == prod(ht(b) + b[6] for b in pos) // prod(map(ht, pos)) == 56
+    # w0 = -1 sends offset c to 2 omega_7 - c = (2, 3, 4, 6, 5, 4, 3) - c, so the slice
+    # set at height 13 and its mirror cover every height up to ht(2 omega_7) = 27.
+    low = wt_simple_slice(lam, g, 13).members
+    top = (2, 3, 4, 6, 5, 4, 3)
+    assert set(ab.values()) == {1}
+    assert set(ab) == low | {tuple(t - x for t, x in zip(top, c)) for c in low}
+
+
+def test_atiyah_bott_e8_support_is_the_slice_set():
+    g, lam = parse_gcm(E8), HighestWeight.of([0] * 7 + [1])
+    ab = atiyah_bott_sum(lam, g, 6).terms
+    assert set(ab) == wt_simple_slice(lam, g, 6).members
 
 
 def test_atiyah_bott_rejects_affine():

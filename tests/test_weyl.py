@@ -5,11 +5,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kmweights
-from kmweights.cartan import parse_gcm
+from kmweights import weyl
+from kmweights.cartan import is_finite_type, parse_gcm
 from kmweights.errors import BudgetExceeded, Inapplicable
 from kmweights.roots import positive_real_up_to
 from kmweights.weights import (
@@ -26,13 +27,13 @@ from kmweights.weyl import (
     enumerate_group,
     identity,
     min_summand_height,
-    orbit_ball,
     orbit_truncated,
+    orbit_walk,
     reflect_weight,
     stabilizer_is_finite,
 )
 
-from conftest import apply, in_parabolic_dominant, reflect, small_gcms_and_weights
+from conftest import apply, in_parabolic_dominant, reflect, small_gcms, small_gcms_and_weights
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -263,10 +264,36 @@ def test_orbit_of_seeds_is_union_of_single_orbits(case, height):
 def test_orbit_ball_is_whole_exactly_from_the_orbit_radius():
     # The vertex ball of A2 at (1, 1) is its six-point orbit, of radius 3.
     lam = HighestWeight.of([1, 1])
-    ball, whole = orbit_ball(lam, A2, [0, 1], [(0, 0)], 3)
+    ball, whole = orbit_walk(lam, A2, [0, 1], [(0, 0)], depth=3)
     assert (len(ball), whole) == (6, True)
-    ball, whole = orbit_ball(lam, A2, [0, 1], [(0, 0)], 2)
+    ball, whole = orbit_walk(lam, A2, [0, 1], [(0, 0)], depth=2)
     assert (len(ball), whole) == (5, False)
+
+
+@given(small_gcms(max_rank=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_walk_distance_at_lambda_plus_rho_is_the_length(g, data):
+    # Pairings q_i + 1 >= 1: each point is w(lambda + rho) for one w, at distance l(w).
+    assume(is_finite_type(g))
+    q = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    shifted = HighestWeight.of([x + 1 for x in q])
+    want = {w.displacement: w.length
+            for w in enumerate_group(shifted, g, range(g.n), height=None, cap=64)}
+    dist, whole = orbit_walk(shifted, g, range(g.n), [(0,) * g.n])
+    assert (dist, whole) == (want, True)
+    # Height rises strictly along a reduced word, so pruning keeps every distance.
+    height = data.draw(st.integers(0, max(map(ht, want))))
+    dist, whole = orbit_walk(shifted, g, range(g.n), [(0,) * g.n], height=height)
+    assert (dist, whole) == ({c: d for c, d in want.items() if ht(c) <= height}, True)
+
+
+def test_height_walk_counts_points_against_the_budget(monkeypatch):
+    # The affine orbit of lambda = (1, 0) meets heights 0, 1, 3, 6, 10, 15, ...
+    monkeypatch.setattr(weyl, "WEYL_BUDGET", 5)
+    lam = HighestWeight.of([1, 0])
+    assert len(orbit_truncated(lam, AFF, [0, 1], [(0, 0)], 14)) == 5
+    with pytest.raises(BudgetExceeded, match=r"^6 points by reflection distance 5; budget 5$"):
+        orbit_truncated(lam, AFF, [0, 1], [(0, 0)], 15)
 
 
 def test_hull_depth_past_the_orbit_radius_ends_with_the_orbit(tmp_path):
