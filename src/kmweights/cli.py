@@ -4,7 +4,7 @@ Input is a single JSON document:
     {"cartan": [[2,-1],[-1,2]], "lambda": ["3", "-5/2"], "labels": ["1","2"]}
 with rationals as strings for end-to-end exactness.  Exit codes:
 0 success/PASS, 1 verification FAIL, 2 input error, 3 method inapplicable,
-4 budget or cap exceeded.
+4 budget or cap exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -353,7 +353,12 @@ def _dispatch(args, stdout) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:  # exit as SIGPIPE would, and leave no stdout to flush at exit
+        code, sys.stdout = 141, None
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,15 @@ of the result.  `independent_rows` takes integer rows and keeps an echelon
 sorted by pivot, each row from its pivot on; `integer_row` scales a
 rational row to integers for `feasible` and `GramBuilder`.
 
+`feasible` is a revised phase-1 simplex on rows scaled to integers.  It keeps
+the columns A_j, each row k of (B^-1 | x_B) times an integer s_k > 0, and
+scale * (y | objective) for the duals y.  It prices column j as y A_j and forms
+B^-1 A_j only for the first positive price (Bland's rule).  As every kept row
+is a positive multiple of the rational one, it pivots as a full tableau would.
+
 A solve also settles other right-hand sides b' of the same A (Farkas'
 lemma: either A x = b has a solution x >= 0, or some y has y^T A <= 0 and
-y^T b > 0).  Passing a `Proof` collects what the final tableau shows:
+y^T b > 0).  Passing a `Proof` collects what the final basis shows:
 
 * infeasible: the phase-1 duals y, a Farkas certificate.  Every b' with
   y^T b' > 0 is infeasible too.
@@ -37,16 +43,17 @@ Vector = Sequence[Rational]
 def integer_row(row: Vector) -> tuple[int, list[int]]:
     """(d, d * row) for d the lcm of the denominators of the rational row."""
     d = lcm(*(x.denominator for x in row))
+    if d == 1:
+        return d, [x.numerator for x in row]
     return d, [x.numerator * (d // x.denominator) for x in row]
 
 
-def reduce(row: Sequence[int], pivot_row: Sequence[int], col: int) -> list[int]:
-    """pivot_row[col] * row - row[col] * pivot_row, divided by its content.
+def reduce(row: Sequence[int], a: int, pivot_row: Sequence[int], p: int) -> list[int]:
+    """p * row - a * pivot_row, divided by its content.
 
-    The result is zero in column `col`.  It is a positive multiple of the
-    rationally reduced row when pivot_row[col] > 0.
+    With a and p > 0 the entries of row and pivot_row in one column, the
+    result is zero there and a positive multiple of the rationally reduced row.
     """
-    p, a = pivot_row[col], row[col]
     r = [p * x - a * y for x, y in zip(row, pivot_row)]
     content = gcd(*r)
     return [x // content for x in r] if content > 1 else r
@@ -69,7 +76,7 @@ def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
             if any(r[lead:col]):
                 break
             if r[col]:
-                r[col:] = reduce(r[col:], prow, 0)
+                r[col:] = reduce(r[col:], r[col], prow, prow[0])
             lead = col + 1
         lead = next((k for k in range(lead, len(r)) if r[k]), None)
         if lead is not None:
@@ -97,65 +104,67 @@ def feasible(a: Sequence[Vector], b: Vector,
     """A basic solution {j: x_j} of A x = b, x >= 0, or None if there is none.
 
     When `proof` is given, the solve's certificate is written into it.
-    Each integer tableau row is a positive multiple of the rational one, so
-    Bland's choice and the ratio test are those of the rational simplex on
-    the scaled rows (on integral A and b, the rows as given).
     """
     m, n = len(a), len(a[0])
-    rhs = total = n + m
-    # Row i: factor_i (a_i | b_i) made integral with b_i >= 0, an artificial
-    # column per row, and a 0 in the objective row's scale column.
-    factors: list[int] = []
-    tab: list[list[int]] = []
+    # Row i of the scaled system is factor_i (a_i | b_i), integral with b_i >= 0.
+    factors, scaled = [], []
     for i in range(m):
         d, row = integer_row([*a[i], b[i]])
         if row[-1] < 0:
             d, row = -d, [-v for v in row]
         factors.append(d)
-        tab.append(row[:n] + [int(i == k) for k in range(m)] + [row[n], 0])
-    basis = list(range(n, total))
+        scaled.append(row)
+    *cols, rhs = zip(*scaled)
+    del scaled  # keep the columns only, not the rows as well
+    # rows[k] is s_k (B^-1 | x_B | 0), the 0 under the objective's scale.
+    rows = [[0] * m + [v, 0] for v in rhs]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    # Column n + i is row i's artificial: e_i, and -1 under the scale for its cost.
+    cols += [(*row[:m], 0, -1) for row in rows]
+    basis = list(range(n, n + m))
+    priced = cols[:n] + [()] * m  # a basic column, priced 0, is () here
 
-    # Phase 1 minimizes the sum of artificials.  z is scale * (reduced costs
-    # | objective value) relative to the artificial basis, then scale > 0.
-    z = [sum(col) for col in zip(*tab)]
-    z[n:total] = [0] * m
-    z[-1] = 1
-
+    # Phase 1 minimizes the sum of artificials.  z is scale * (y | objective)
+    # for its duals y, then scale > 0, and z A_j is scale times a reduced cost.
+    z = [1] * m + [sum(rhs), 1]
     while True:
-        enter = next((j for j in range(total) if z[j] > 0), None)  # Bland
-        if enter is None:
+        for enter, col in enumerate(priced):  # Bland: the first positive one
+            if col and (cost := sum(map(mul, col, z))) > 0:
+                break
+        else:
             break
-        # Ratio test rhs_i / tab_i[enter], cross-multiplied; phase 1 is
-        # bounded below, so some row has a positive entry.
-        rows = [i for i in range(m) if tab[i][enter] > 0]
-        leave = rows[0]
-        for i in rows[1:]:
-            diff = tab[i][rhs] * tab[leave][enter] - tab[leave][rhs] * tab[i][enter]
+        column = [sum(map(mul, col, row)) for row in rows]
+        # Ratio test x_i / column_i, cross-multiplied; phase 1 is bounded
+        # below, so some row has a positive entry.
+        leave, *others = [i for i in range(m) if column[i] > 0]
+        for i in others:
+            diff = rows[i][m] * column[leave] - rows[leave][m] * column[i]
             if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
                 leave = i
-        pivot = tab[leave]
-        tab = [
-            reduce(row, pivot, enter) if i != leave and row[enter] else row
-            for i, row in enumerate(tab)
+        pivot, p = rows[leave], column[leave]
+        rows = [
+            reduce(row, c, pivot, p) if c and row is not pivot else row
+            for row, c in zip(rows, column)
         ]
-        z = reduce(z, pivot, enter)
+        z = reduce(z, cost, pivot, p)
+        priced[basis[leave]], priced[enter] = cols[basis[leave]], ()
         basis[leave] = enter
 
-    if z[rhs] != 0:
+    if z[m] != 0:
         if proof is not None:
-            # z[n+i] / z[-1] = y_i - 1 for the duals y of the scaled rows.
-            proof.farkas = [(z[n + i] + z[-1]) * factors[i] for i in range(m)]
+            # z[i] / z[-1] = y_i for the duals y of the scaled rows.
+            proof.farkas = [z[i] * factors[i] for i in range(m)]
         return None
-    # Row k is d_k times the rational row, d_k its basic entry; its
-    # artificial columns hold d_k B^-1 of the scaled rows.
-    diag = [tab[k][basis[k]] for k in range(m)]
+    # s_k is row k's entry in its basic column.
+    s = [sum(map(mul, cols[j], row)) for row, j in zip(rows, basis)]
     if proof is not None:
-        proof.basis, proof.scale = basis, lcm(*diag)
+        proof.basis, proof.scale = basis, lcm(*s)
         proof.inverse = [
-            [proof.scale // diag[k] * tab[k][n + i] * factors[i] for i in range(m)]
+            [proof.scale // s[k] * rows[k][i] * factors[i] for i in range(m)]
             for k in range(m)
         ]
-    return {basis[k]: Fraction(tab[k][rhs], diag[k]) for k in range(m) if basis[k] < n}
+    return {basis[k]: Fraction(rows[k][m], s[k]) for k in range(m) if basis[k] < n}
 
 
 def _dot(u: Vector, v: Vector) -> Rational:

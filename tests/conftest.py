@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import strategies as st
@@ -69,6 +70,56 @@ def fraction_independent_rows(rows):
         if rank([rows[j] for j in kept] + [row]) > len(kept):
             kept.append(k)
     return kept
+
+
+def fraction_phase1(a, b):
+    """Reference for `lp.feasible`: phase 1 on a dense Fraction tableau.
+
+    Row i is f_i (a_i | b_i), with f_i the lcm of the row's denominators,
+    negated when b_i < 0 (phase 1 minimizes the sum of the artificials of
+    these rows), and an artificial column e_i (column n + i) of cost 1.
+    Bland's rule enters the first column with a positive reduced cost; the
+    ratio test leaves the row of least ratio, then of least basic column.
+    Returns (x, basis, inverse, farkas): x the basic solution {j: x_j} or
+    None, inverse B^-1 in the caller's rows, and farkas the phase-1 duals in
+    the caller's rows when the system is infeasible (else None).
+    """
+    m, n = len(a), len(a[0])
+    factor = []
+    for row, v in zip(a, b):
+        f = lcm(*(Fraction(x).denominator for x in [*row, v]))
+        factor.append(-f if v < 0 else f)
+    tab = [
+        [Fraction(factor[i] * v) for v in a[i]]
+        + [Fraction(int(i == k)) for k in range(m)]
+        + [Fraction(factor[i] * b[i])]
+        for i in range(m)
+    ]
+    cost = [0] * n + [1] * m
+    basis = list(range(n, n + m))
+    while True:
+        reduced = [
+            sum(cost[basis[k]] * tab[k][j] for k in range(m)) - cost[j]
+            for j in range(n + m)
+        ]
+        enter = next((j for j in range(n + m) if reduced[j] > 0), None)
+        if enter is None:
+            break
+        rows = [k for k in range(m) if tab[k][enter] > 0]
+        leave = min(rows, key=lambda k: (tab[k][-1] / tab[k][enter], basis[k]))
+        pivot = [v / tab[leave][enter] for v in tab[leave]]
+        tab = [
+            pivot if k == leave else [v - row[enter] * w for v, w in zip(row, pivot)]
+            for k, row in enumerate(tab)
+        ]
+        basis[leave] = enter
+    # Columns n + i hold B^-1 of the scaled rows; y = c_B B^-1 are the duals.
+    inverse = [[row[n + i] * factor[i] for i in range(m)] for row in tab]
+    if sum(cost[basis[k]] * tab[k][-1] for k in range(m)) > 0:
+        duals = [sum(cost[basis[k]] * tab[k][n + i] for k in range(m)) for i in range(m)]
+        return None, basis, inverse, [y * f for y, f in zip(duals, factor)]
+    x = {basis[k]: tab[k][-1] for k in range(m) if basis[k] < n}
+    return x, basis, inverse, None
 
 
 PAIRINGS = [0, 1, 2, -1, Fraction(-1, 2), Fraction(-3, 2), Fraction(1, 3)]

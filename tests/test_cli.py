@@ -220,6 +220,21 @@ def test_utf8_input_read_under_an_ascii_locale(tmp_path):
     assert json.loads(done.stdout) == [{"nodes": ["\u03b1", "b"], "type": "Finite"}]
 
 
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    doc = {"cartan": [[2, -2, -1], [-2, 2, 0], [-1, 0, 2]], "lambda": ["1", "2", "-1/2"]}
+    path = write_problem(tmp_path, doc)
+    src = Path(kmweights.__file__).resolve().parent.parent
+    main = "import sys; sys.path.insert(0, sys.argv.pop(1)); from kmweights.cli import main; main()"
+    # About 90 kB of JSON, more than a pipe buffers, written after the read end is closed.
+    argv = ["weights", "--input", path, "--method", "slice", "--height", "20"]
+    proc = subprocess.Popen([sys.executable, "-c", main, str(src), *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+
+
 def test_gcm_axiom_violation_exit_2(tmp_path):
     path = write_problem(tmp_path, {"cartan": [[2, -1], [0, 2]]})
     code, _, err = invoke(["classify", "--input", path])

@@ -11,10 +11,16 @@ from kmweights.modweights import (
     hull_contains,
     hull_generators,
     wt_simple_hull,
+    wt_simple_slice,
 )
 from kmweights.weights import HighestWeight, offsets_up_to
 
-from conftest import CORPUS_CASES, fraction_independent_rows, small_gcms_and_weights
+from conftest import (
+    CORPUS_CASES,
+    fraction_independent_rows,
+    fraction_phase1,
+    small_gcms_and_weights,
+)
 
 AFF_RANK3 = parse_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
@@ -94,6 +100,41 @@ def test_every_solve_leaves_a_checked_proof(system):
         assert [_dot(row, y) for row in a] == b
     assert certs.decide(b) is (x is not None)
     assert len(certs.farkas) + len(certs.bases) == 1
+
+
+# Up to 30 columns, so Bland's rule passes over many nonpositive prices, and
+# b often 0, so the ratio test often ties and falls to its basis tie-break.
+wide_systems = st.integers(1, 4).flatmap(
+    lambda m: st.tuples(
+        st.integers(5, 30).flatmap(
+            lambda n: st.lists(
+                st.lists(_entries(3), min_size=n, max_size=n),
+                min_size=m,
+                max_size=m,
+            )
+        ),
+        st.lists(st.one_of(st.just(0), _entries(4)), min_size=m, max_size=m),
+    )
+)
+
+
+@given(st.one_of(small_systems, wide_systems))
+@settings(max_examples=150, deadline=None)
+def test_feasible_pivots_as_the_fraction_tableau(system):
+    a, b = system
+    proof = Proof()
+    x = feasible(a, b, proof)
+    ref_x, ref_basis, ref_inverse, ref_farkas = fraction_phase1(a, b)
+    assert x == ref_x
+    if x is None:
+        # A positive multiple of the reference's phase-1 duals.
+        k = next(i for i, y in enumerate(ref_farkas) if y)
+        ratio = Fraction(proof.farkas[k]) / ref_farkas[k]
+        assert ratio > 0
+        assert [ratio * y for y in ref_farkas] == proof.farkas
+    else:
+        assert proof.basis == ref_basis
+        assert [[Fraction(v, proof.scale) for v in row] for row in proof.inverse] == ref_inverse
 
 
 def _no_lp(*args, **kwargs):
@@ -213,6 +254,26 @@ def test_hull_needs_few_lp_solves(monkeypatch):
     assert len(ws.members) == 31
     assert len(results) == 24
     assert sum(x is None for x in results) == 9
+
+
+def test_wide_hull_needs_few_lp_solves(monkeypatch):
+    # lambda is regular, so the default depth 2H + 4 lists 11,008 vertices:
+    # LPs of 4 rows and thousands of columns, where a solve must not touch
+    # every column on every pivot.
+    g = parse_gcm([[2, -1, -1], [-3, 2, -3], [-3, -3, 2]])
+    lam = HighestWeight.of([1, 1, 1])
+    results = []
+
+    def counting(a, b, proof=None):
+        results.append(feasible(a, b, proof))
+        return results[-1]
+
+    monkeypatch.setattr(lp, "feasible", counting)
+    ws = wt_simple_hull(lam, g, 4)
+    assert ws.members == wt_simple_slice(lam, g, 4).members
+    assert len(ws.members) == 24
+    assert ws.complete is False
+    assert len(results) == 9
 
 
 @st.composite
