@@ -6,13 +6,16 @@ the rank (`independent_rows`) and the simplex (`feasible`): `reduce`
 eliminates one column of a row against a pivot row and divides out the gcd
 of the result.  `independent_rows` takes integer rows and keeps an echelon
 sorted by pivot, each row from its pivot on; `integer_row` scales a
-rational row to integers for `feasible` and `GramBuilder`.
+rational row to integers for `System` and `GramBuilder`.
 
-`feasible` is a revised phase-1 simplex on rows scaled to integers.  It keeps
-the columns A_j, each row k of (B^-1 | x_B) times an integer s_k > 0, and
-scale * (y | objective) for the duals y.  It prices column j as y A_j and forms
-B^-1 A_j only for the first positive price (Bland's rule).  As every kept row
-is a positive multiple of the rational one, it pivots as a full tableau would.
+`feasible` is a revised phase-1 simplex on rows scaled to integers.  A
+`System` scales A's rows once and keeps their integer columns A_j for many b;
+b enters a solve only through its signs and denominators, which rescale row i
+when b_i < 0 or has a new denominator.  A solve keeps each row k of
+(B^-1 | x_B) times an integer s_k > 0, and scale * (y | objective) for the
+duals y.  It prices column j as y A_j and forms B^-1 A_j only for the first
+positive price (Bland's rule).  As every kept row is a positive multiple of
+the rational one, it pivots as a full tableau would.
 
 A solve also settles other right-hand sides b' of the same A (Farkas'
 lemma: either A x = b has a solution x >= 0, or some y has y^T A <= 0 and
@@ -91,12 +94,26 @@ class Proof:
     `farkas` is set when the system is infeasible; `basis` (column indices,
     n + i standing for the artificial of row i), `inverse` and `scale`
     (B^-1 = inverse / scale in the caller's rows) when it is feasible.
+    `a_b`, A's rows on the basis, is kept by the first `Certificates` check.
     """
 
-    __slots__ = ("farkas", "basis", "inverse", "scale")
+    __slots__ = ("farkas", "basis", "inverse", "scale", "a_b")
 
     def __init__(self):
-        self.farkas, self.basis, self.inverse, self.scale = None, None, None, 1
+        self.farkas, self.basis, self.inverse, self.scale, self.a_b = None, None, None, 1, None
+
+
+class System(list):
+    """A's rows, each row's factor d_i (the lcm of its denominators) and the
+    integer columns of the rows d_i a_i: the setup `feasible` shares over b."""
+
+    __slots__ = ("factors", "columns")
+
+    def __init__(self, a: Sequence[Vector]):
+        super().__init__(list(row) for row in a)
+        scaled = [integer_row(row) for row in self]
+        self.factors = [d for d, _ in scaled]
+        self.columns = list(zip(*(row for _, row in scaled)))
 
 
 def feasible(a: Sequence[Vector], b: Vector,
@@ -105,23 +122,24 @@ def feasible(a: Sequence[Vector], b: Vector,
 
     When `proof` is given, the solve's certificate is written into it.
     """
-    m, n = len(a), len(a[0])
-    # Row i of the scaled system is factor_i (a_i | b_i), integral with b_i >= 0.
-    factors, scaled = [], []
-    for i in range(m):
-        d, row = integer_row([*a[i], b[i]])
-        if row[-1] < 0:
-            d, row = -d, [-v for v in row]
-        factors.append(d)
-        scaled.append(row)
-    *cols, rhs = zip(*scaled)
-    del scaled  # keep the columns only, not the rows as well
+    if not isinstance(a, System):
+        a = System(a)
+    m, n = len(a), len(a.columns)
+    # Row i of the scaled system is factor_i (a_i | b_i), integral with b_i >= 0:
+    # factor_i = d_i k_i, k_i != 1 only for b_i < 0 or a denominator new to row i.
+    mults = [(v.denominator // gcd(d, v.denominator)) * (-1 if v < 0 else 1)
+             for d, v in zip(a.factors, b)]
+    factors = [d * k for d, k in zip(a.factors, mults)]
+    rhs = [v.numerator * (f // v.denominator) for f, v in zip(factors, b)]
+    cols = a.columns
+    if any(k != 1 for k in mults):
+        cols = [tuple(map(mul, col, mults)) for col in cols]
     # rows[k] is s_k (B^-1 | x_B | 0), the 0 under the objective's scale.
     rows = [[0] * m + [v, 0] for v in rhs]
     for i, row in enumerate(rows):
         row[i] = 1
     # Column n + i is row i's artificial: e_i, and -1 under the scale for its cost.
-    cols += [(*row[:m], 0, -1) for row in rows]
+    cols = cols + [(*row[:m], 0, -1) for row in rows]
     basis = list(range(n, n + m))
     priced = cols[:n] + [()] * m  # a basic column, priced 0, is () here
 
@@ -167,12 +185,8 @@ def feasible(a: Sequence[Vector], b: Vector,
     return {basis[k]: Fraction(rows[k][m], s[k]) for k in range(m) if basis[k] < n}
 
 
-def _dot(u: Vector, v: Vector) -> Rational:
-    return sum(map(mul, u, v))
-
-
 class Certificates:
-    """Feasibility of A x = b, x >= 0, for one A and many b.
+    """Feasibility of A x = b, x >= 0, for one A (`a`, one `System`) and many b.
 
     The exactly checked proofs of earlier solves are kept: Farkas vectors in
     `farkas`, feasible bases (as their `Proof`) in `bases`.  With integral A
@@ -180,8 +194,8 @@ class Certificates:
     """
 
     def __init__(self, a: Sequence[Vector]):
-        self.a = [list(row) for row in a]
-        self.n = len(self.a[0]) if self.a else 0
+        self.a = System(a)
+        self.n = len(self.a.columns)
         self.farkas: list[list[int]] = []
         self.bases: list[Proof] = []
 
@@ -190,7 +204,7 @@ class Certificates:
         else by one `feasible` solve, whose proof is kept if it checks exactly.
         """
         for y in self.farkas:
-            if _dot(y, b) > 0:
+            if sum(map(mul, y, b)) > 0:
                 return False
         for proof in self.bases:
             if self._scaled_solution(proof, b) is not None:
@@ -205,10 +219,14 @@ class Certificates:
         return True
 
     def is_farkas(self, y: Vector, b: Vector) -> bool:
-        """y^T A <= 0 on every column and y^T b > 0: A x = b has no x >= 0."""
-        return _dot(y, b) > 0 and all(
-            _dot(y, [row[j] for row in self.a]) <= 0 for j in range(self.n)
-        )
+        """y^T A <= 0 on every column and y^T b > 0: A x = b has no x >= 0.
+
+        Column j is kept as d_i a_ij, so w_i = y_i L / d_i (L = lcm d_i) has
+        w . column_j = L y^T A_j."""
+        scale = lcm(*self.a.factors)
+        w = [v * (scale // d) for v, d in zip(y, self.a.factors)]
+        return sum(map(mul, y, b)) > 0 and all(
+            sum(map(mul, w, col)) <= 0 for col in self.a.columns)
 
     def _scaled_solution(self, proof: Proof, b: Vector) -> dict[int, Rational] | None:
         """{j: scale * x_j} for the basic j < n, or None if the basis fails.
@@ -216,14 +234,15 @@ class Certificates:
         Artificial basic entries must be 0, and A_B x_B = b is checked
         exactly, so a wrong inverse can only make this return None.
         """
-        x_b = {}
+        x = []  # scale * x_B
         for j, row in zip(proof.basis, proof.inverse):
-            v = _dot(row, b)
-            if v < 0 or (j >= self.n and v != 0):
+            v = sum(map(mul, row, b))
+            if v < 0 or (v and j >= self.n):
                 return None
-            if j < self.n:
-                x_b[j] = v
-        for row, bi in zip(self.a, b):
-            if sum(row[j] * v for j, v in x_b.items()) != proof.scale * bi:
+            x.append(v)
+        if proof.a_b is None:  # A_B, read once per proof; an artificial column as 0
+            proof.a_b = [[row[j] if j < self.n else 0 for j in proof.basis] for row in self.a]
+        for row, bi in zip(proof.a_b, b):
+            if sum(map(mul, row, x)) != proof.scale * bi:
                 return None
-        return x_b
+        return {j: v for j, v in zip(proof.basis, x) if j < self.n}

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from kmweights import lp
 from kmweights.cartan import parse_gcm
-from kmweights.lp import Certificates, Proof, feasible, independent_rows
+from kmweights.lp import Certificates, Proof, System, feasible, independent_rows
 from kmweights.modweights import (
     hull_contains,
     hull_generators,
@@ -102,6 +102,41 @@ def test_every_solve_leaves_a_checked_proof(system):
     assert len(certs.farkas) + len(certs.bases) == 1
 
 
+def _proof_fields(proof):
+    return proof.farkas, proof.basis, proof.inverse, proof.scale
+
+
+@given(
+    small_systems,
+    st.lists(st.lists(_entries(4), min_size=3, max_size=3), min_size=1, max_size=4),
+    st.lists(_entries(4), min_size=3, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_system_scaled_once_solves_as_plain_rows(system, more, y):
+    # One System serves every b: rows whose b_i is negative or has a new
+    # denominator must be rescaled per b, as a fresh solve on plain rows does.
+    a, b = system
+    m = len(a)
+    shared = System(a)
+    for rhs in [b] + [c[:m] for c in more]:
+        proof, plain = Proof(), Proof()
+        x = feasible(shared, rhs, proof)
+        assert x == feasible(a, rhs, plain)
+        assert _proof_fields(proof) == _proof_fields(plain)
+        ref_x, ref_basis, ref_inverse, _ = fraction_phase1(a, rhs)
+        assert x == ref_x
+        if x is None:
+            _assert_farkas(a, rhs, proof.farkas)
+        else:
+            assert proof.basis == ref_basis
+            assert [[Fraction(v, proof.scale) for v in row] for row in proof.inverse] == ref_inverse
+        # The Farkas check reads the once-scaled columns: it must judge any y
+        # as the caller's rows do.
+        plain_farkas = _dot(y[:m], rhs) > 0 and all(
+            _dot(y[:m], [row[j] for row in a]) <= 0 for j in range(len(a[0])))
+        assert Certificates(a).is_farkas(y[:m], rhs) is plain_farkas
+
+
 # Up to 30 columns, so Bland's rule passes over many nonpositive prices, and
 # b often 0, so the ratio test often ties and falls to its basis tie-break.
 wide_systems = st.integers(1, 4).flatmap(
@@ -182,6 +217,29 @@ def test_proofs_that_do_not_check_are_dropped(monkeypatch):
     assert certs.farkas == []
     monkeypatch.setattr(lp, "feasible", wrong_inverse)
     assert certs.decide(b) is True
+    assert certs.bases == []
+
+    # Many columns and rows: a check that stops one column or one row short
+    # keeps these.  y = (1, 0, 0) has y^T A_j = -1 on every column but the last.
+    wide = [[-1] * 7 + [1], [1, 0, 2, 3, 1, 0, 1, 2], [0, 1, 1, 0, 2, 1, 3, 1]]
+    certs = Certificates(wide)
+
+    def last_column_breaks(a, b, proof):
+        proof.farkas = [1, 0, 0]
+        return None
+
+    def last_row_breaks(a, b, proof):
+        # x_B = B^-1 b = (1, 1, 0) >= 0 on columns 0, 1 and row 2's artificial,
+        # and A_B x_B = (-2, 1, 1) is b = (-2, 1, 2) on every row but the last.
+        proof.basis = [0, 1, 10]
+        proof.inverse = [[0, 1, 0], [0, 1, 0], [1, 0, 1]]
+        return {0: Fraction(1), 1: Fraction(1)}
+
+    monkeypatch.setattr(lp, "feasible", last_column_breaks)
+    assert certs.decide([1, 0, 0]) is False
+    assert certs.farkas == []
+    monkeypatch.setattr(lp, "feasible", last_row_breaks)
+    assert certs.decide([-2, 1, 2]) is True
     assert certs.bases == []
 
 
