@@ -4,7 +4,7 @@ Input is a single JSON document:
     {"cartan": [[2,-1],[-1,2]], "lambda": ["3", "-5/2"], "labels": ["1","2"]}
 with rationals as strings for end-to-end exactness.  Exit codes:
 0 success/PASS, 1 verification FAIL, 2 input error, 3 method inapplicable,
-4 budget or cap exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.
+4 budget exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations

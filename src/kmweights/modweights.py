@@ -18,11 +18,11 @@ from .weights import (
     Offset,
     SignedOffset,
     add,
+    cartan_pairing,
     ht,
     integrability_set,
     neg,
     offsets_up_to,
-    pairing,
     unit,
     zero_offset,
 )
@@ -167,7 +167,7 @@ def wt_parabolic_verma(
     seeds = []
     for c in offsets_up_to(g.n, bound, [(g.a[j], lam.q[j].numerator) for j in nodes]):
         b = [0 if i in nodes else x for i, x in enumerate(c)]
-        if all(any(pairing(lam, g, b, i) != 0 for i in comp)
+        if all(any(lam.q[i].numerator != cartan_pairing(g, b, i) for i in comp)
                for comp in components(g, [i for i in nodes if c[i]])):
             seeds.append(c)
     return WeightSet(frozenset(orbit_truncated(lam, g, nodes, seeds, bound)))

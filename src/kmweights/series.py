@@ -107,15 +107,14 @@ class TruncSeries:
         ])
 
 
-def _summand_keys(d: Offset, images: list[SignedOffset], bound: int) -> Keys:
-    """e^{-d} / prod over v in images of (1 - e^{-v}), in truncated keys.
+def _summand_keys(out: Keys, images: Iterable[SignedOffset], powers: list[int],
+                  limit: int) -> Keys:
+    """out / prod over v in images of (1 - e^{-v}), in truncated keys below `limit`.
 
     key is additive, and a root v has a key of its sign.  Offsets are measured
     downward from the caller's base: a factor expands to +e^{-k v} (k >= 0) for
     v > 0 and to -e^{k v} (k >= 1) for v < 0, and -k v is again a positive vector.
     """
-    powers, limit = truncated_code(len(d), bound)
-    out = {encode(d, powers): 1}
     for step in (encode(a, powers) for a in images):
         sign, k, step = (1, 0, step) if step > 0 else (-1, -step, -step)
         out = mul_keys(out, dict.fromkeys(range(k, limit, step), sign), limit)
@@ -132,14 +131,17 @@ def weyl_summand(d: Offset, images: Iterable[SignedOffset], bound: int) -> Trunc
     images = list(images)
     if bad := [v for v in images if not (is_positive(v) or is_negative(v))]:
         raise ValueError(f"{bad[0]} is neither positive nor negative")
-    return _series(len(d), bound, [_summand_keys(d, images, bound)])
+    powers, limit = truncated_code(len(d), bound)
+    keys = _summand_keys({encode(d, powers): 1}, images, powers, limit)
+    return _series(len(d), bound, [keys])
 
 
 def wkw_sum(lam: HighestWeight, g: GCM, bound: int) -> TruncSeries:
     """Sum of weyl_summand over W_{I_lambda}, exact at heights <= bound."""
-    group = enumerate_group(lam, g, integrability_set(lam), height=bound)
+    powers, limit = truncated_code(g.n, bound)
     return _series(g.n, bound, (
-        _summand_keys(w.displacement, w.simple_images, bound) for w in group
+        _summand_keys({encode(w.displacement, powers): 1}, w.simple_images, powers, limit)
+        for w in enumerate_group(lam, g, integrability_set(lam), height=bound)
     ))
 
 
@@ -164,10 +166,9 @@ def atiyah_bott_sum(lam: HighestWeight, g: GCM, bound: int) -> TruncSeries:
     shifted = HighestWeight(tuple(q + 1 for q in lam.q))
     powers, limit = truncated_code(g.n, bound)
     walk, _ = orbit_walk(shifted, g, range(g.n), [zero_offset(g.n)], height=bound)
-    out = {encode(c, powers): (-1) ** d for c, d in walk.items()}
-    for beta in sorted(positive_real_up_to(g, bound)):
-        out = mul_keys(out, dict.fromkeys(range(0, limit, encode(beta, powers)), 1), limit)
-    return _series(g.n, bound, [out])
+    numerator = {encode(c, powers): (-1) ** d for c, d in walk.items()}
+    roots = sorted(positive_real_up_to(g, bound))
+    return _series(g.n, bound, [_summand_keys(numerator, roots, powers, limit)])
 
 
 def finite_weyl_group(
@@ -184,8 +185,8 @@ def finite_weyl_group(
     size = prod(ht(a) + 1 for a in pos) // prod(ht(a) for a in pos)
     if size > WEYL_BUDGET:
         raise BudgetExceeded(f"Weyl group has {size} elements; budget {WEYL_BUDGET}")
-    # The longest element has length |Phi^+|, so the walk ends exactly at it.
-    return list(enumerate_group(lam, g, range(g.n), height=None, cap=len(pos))), pos
+    # The longest element w0 has no children, so the walk ends at it.
+    return list(enumerate_group(lam, g, range(g.n))), pos
 
 
 class LaurentElt:

@@ -82,25 +82,20 @@ def _extend(lam: HighestWeight, g: GCM, w: GroupElement, i: int) -> GroupElement
 
 
 def enumerate_group(
-    lam: HighestWeight, g: GCM, nodes: Iterable[int], height: int | None = None,
-    cap: int | None = None,
+    lam: HighestWeight, g: GCM, nodes: Iterable[int], height: int | None = None
 ) -> Iterator[GroupElement]:
     """Breadth-first stream of W_J, J = nodes, each element built once.
 
     Yields, in length order, the elements whose minimal summand height is <= `height`
-    (every element of length <= cap when height is None, for finite_weyl_group), and
-    stops after the first length with none of them: a longer element inside
-    the bound is then missed.  For finite W_J its summands cancel below the
-    bound; tests/test_series.py checks wkw_sum against all of W_J.
-    w != e is built only from its parent w s_d, d its largest descent in J
-    (w alpha_d < 0), so w.word[:-1] is the parent's word.  Raises
-    BudgetExceeded if the cap is hit while some frontier element is still
-    inside the height bound, or once element WEYL_BUDGET + 1 is built.
-    Raises Inapplicable, before the identity, unless J lies in I_lambda.
+    (all of W_J when height is None: a caller that wants a prefix stops reading), and
+    stops after the first length with none of them: a longer element inside the bound
+    is then missed.  For finite W_J its summands cancel below the bound;
+    tests/test_series.py checks wkw_sum against all of W_J.  w != e is built only from
+    its parent w s_d, d its largest descent in J (w alpha_d < 0), so w.word[:-1] is the
+    parent's word.  Raises BudgetExceeded once element WEYL_BUDGET + 1 is built, and
+    Inapplicable, before the identity, unless J lies in I_lambda.
     """
     nodes = levi_nodes(lam, nodes)
-    if cap is None:
-        cap = (10 * height + 64) if height is not None else 64
     frontier = [identity(g.n)]
     built = 1
     while frontier:
@@ -111,12 +106,6 @@ def enumerate_group(
                 yield w
         if not live:
             return
-        if frontier[0].length >= cap:
-            if height is None:
-                return
-            raise BudgetExceeded(
-                f"frontier alive at word length {cap}; height bound {height}"
-            )
         nxt = []
         for w in frontier:
             for i in nodes:

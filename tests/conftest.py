@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import takewhile
 from math import lcm
 
 import pytest
@@ -176,7 +177,7 @@ def hull_generators_by_elements(lam, g, depth):
     reference for the point walks of `hull_generators`."""
     nodes = sorted(integrability_set(lam))
     vertices, rays = set(), set()
-    for w in enumerate_group(lam, g, nodes, height=None, cap=depth):
+    for w in takewhile(lambda w: w.length <= depth, enumerate_group(lam, g, nodes)):
         vertices.add(w.displacement)
         rays.update(neg(w.simple_images[i]) for i in range(g.n) if i not in nodes)
     return vertices, rays

@@ -1,7 +1,9 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -121,14 +123,6 @@ def test_enumerate_length_equals_inversions_rank2():
             assert inv == len(w.word)
 
 
-def test_enumerate_cap_exceeded():
-    lam = HighestWeight.of([0, 0])
-    with pytest.raises(
-        BudgetExceeded, match="^frontier alive at word length 3; height bound 100$"
-    ):
-        list(enumerate_group(lam, AFF, [0, 1], height=100, cap=3))
-
-
 def test_enumerate_over_weyl_budget():
     # This hyperbolic W has 42,554 elements of length <= 14 and 164,478 of
     # length <= 16; the budget is checked as each element is built.
@@ -136,21 +130,30 @@ def test_enumerate_over_weyl_budget():
     with pytest.raises(BudgetExceeded, match=(
         "^100001 Weyl group elements by word length 16; budget 100000$"
     )):
-        list(enumerate_group(HighestWeight.of([1, 1, 1]), g, range(3), cap=16))
+        list(takewhile(lambda w: w.length <= 16,
+                       enumerate_group(HighestWeight.of([1, 1, 1]), g, range(3))))
 
 
-def _seen_set_walk(lam, g, nodes, height, cap):
+def test_whole_infinite_group_ends_at_the_budget(monkeypatch):
+    # Affine sl2 has two elements of each length >= 1: the whole-group walk
+    # builds element 1,001 at length 500 and refuses, never stopping quietly.
+    monkeypatch.setattr(weyl, "WEYL_BUDGET", 1000)
+    walk = enumerate_group(HighestWeight.of([0, 0]), AFF, [0, 1])
+    with pytest.raises(BudgetExceeded, match=(
+        "^1001 Weyl group elements by word length 500; budget 1000$"
+    )):
+        list(walk)
+
+
+def _seen_set_walk(lam, g, nodes, height):
     """W_J level by level, keeping the first copy of each (images, displacement)."""
     level = [identity(g.n)]
     seen = {(level[0].simple_images, level[0].displacement)}
-    out = []
     while level:
         inside = [w for w in level if height is None or min_summand_height(w) <= height]
         if not inside:
-            break
-        out += inside
-        if level[0].length >= cap:
-            break
+            return
+        yield from inside
         nxt = []
         for w in level:
             for i in nodes:
@@ -160,7 +163,6 @@ def _seen_set_walk(lam, g, nodes, height, cap):
                         seen.add((child.simple_images, child.displacement))
                         nxt.append(child)
         level = nxt
-    return out
 
 
 @given(small_gcms_and_weights(), st.data())
@@ -173,17 +175,17 @@ def test_enumerate_group_is_a_tree_of_reduced_words(case, data):
     if data.draw(st.booleans()):
         height, cap = None, data.draw(st.integers(0, 5))
     else:
-        height = data.draw(st.integers(0, 6))
-        cap = 10 * height + 64
+        height, cap = data.draw(st.integers(0, 6)), math.inf
     try:
-        got = list(enumerate_group(lam, g, nodes, height=height, cap=cap))
+        got = list(takewhile(lambda w: w.length <= cap,
+                             enumerate_group(lam, g, nodes, height=height)))
     except BudgetExceeded:
-        return  # an infinite W_J whose frontier outlives the cap
+        return  # an infinite W_J whose walk outlives the element budget
     keys = [(w.length, w.simple_images, w.displacement) for w in got]
     assert len(set(keys)) == len(keys)
     assert set(keys) == {
         (w.length, w.simple_images, w.displacement)
-        for w in _seen_set_walk(lam, g, nodes, height, cap)
+        for w in takewhile(lambda w: w.length <= cap, _seen_set_walk(lam, g, nodes, height))
     }
     words = set()
     for prev, w in zip([identity(g.n)] + got, got):
@@ -278,7 +280,8 @@ def test_walk_distance_at_lambda_plus_rho_is_the_length(g, data):
     q = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
     shifted = HighestWeight.of([x + 1 for x in q])
     want = {w.displacement: w.length
-            for w in enumerate_group(shifted, g, range(g.n), height=None, cap=64)}
+            for w in takewhile(lambda w: w.length <= 64,
+                               enumerate_group(shifted, g, range(g.n)))}
     dist, whole = orbit_walk(shifted, g, range(g.n), [(0,) * g.n])
     assert (dist, whole) == (want, True)
     # Height rises strictly along a reduced word, so pruning keeps every distance.
@@ -324,7 +327,7 @@ def test_stabilizer_finite_cases():
 
 @pytest.mark.parametrize("q", [-1, Fraction(1, 2)])
 def test_enumerate_group_rejects_non_dominant_nodes(q):
-    walk = enumerate_group(HighestWeight.of([q]), A1, [0], height=None, cap=2)
+    walk = takewhile(lambda w: w.length <= 2, enumerate_group(HighestWeight.of([q]), A1, [0]))
     with pytest.raises(Inapplicable, match=rf"^\(h_0, lambda\) = {q}$"):
         next(walk)  # raised before the identity is yielded
 
