@@ -1,17 +1,16 @@
 """Exact integer elimination: rank and phase-1 simplex, and certificates to reuse.
 
 No floating point anywhere: the affine cases this package cares about sit
-exactly on the finite/indefinite boundary.  One fraction-free step serves
-the rank (`independent_rows`) and the simplex (`feasible`): `reduce`
-eliminates one column of a row against a pivot row and divides out the gcd
-of the result.  `independent_rows` takes integer rows and keeps an echelon
-sorted by pivot, each row from its pivot on; `integer_row` scales a
-rational row to integers for `System` and `GramBuilder`.
+exactly on the finite/indefinite boundary, and every A and b is integral
+(the hull's offsets and b = (c, 1), the Vinberg LPs' GCM entries).  One
+fraction-free step serves the rank (`independent_rows`) and the simplex
+(`feasible`): `reduce` eliminates one column of a row against a pivot row
+and divides out the gcd of the result.  `independent_rows` keeps an echelon
+sorted by pivot, each row from its pivot on.
 
-`feasible` is a revised phase-1 simplex on rows scaled to integers.  A
-`System` scales A's rows once and keeps their integer columns A_j for many b;
-b enters a solve only through its signs and denominators, which rescale row i
-when b_i < 0 or has a new denominator.  A solve keeps each row k of
+`feasible` is a revised phase-1 simplex on integer rows.  A `System` keeps
+A's rows and their columns A_j for many b; b enters a solve only through
+its signs, which negate row i when b_i < 0.  A solve keeps each row k of
 (B^-1 | x_B) times an integer s_k > 0, and scale * (y | objective) for the
 duals y.  It prices column j as y A_j and forms B^-1 A_j only for the first
 positive price (Bland's rule).  As every kept row is a positive multiple of
@@ -37,18 +36,9 @@ from bisect import insort
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 from operator import mul
 
-Vector = Sequence[Rational]
-
-
-def integer_row(row: Vector) -> tuple[int, list[int]]:
-    """(d, d * row) for d the lcm of the denominators of the rational row."""
-    d = lcm(*(x.denominator for x in row))
-    if d == 1:
-        return d, [x.numerator for x in row]
-    return d, [x.numerator * (d // x.denominator) for x in row]
+Vector = Sequence[int]
 
 
 def reduce(row: Sequence[int], a: int, pivot_row: Sequence[int], p: int) -> list[int]:
@@ -104,36 +94,31 @@ class Proof:
 
 
 class System(list):
-    """A's rows, each row's factor d_i (the lcm of its denominators) and the
-    integer columns of the rows d_i a_i: the setup `feasible` shares over b."""
+    """A's integer rows and their columns A_j: the setup `feasible` shares over b."""
 
-    __slots__ = ("factors", "columns")
+    __slots__ = ("columns",)
 
     def __init__(self, a: Sequence[Vector]):
         super().__init__(list(row) for row in a)
-        scaled = [integer_row(row) for row in self]
-        self.factors = [d for d, _ in scaled]
-        self.columns = list(zip(*(row for _, row in scaled)))
+        self.columns = list(zip(*self))
 
 
 def feasible(a: Sequence[Vector], b: Vector,
              proof: Proof | None = None) -> dict[int, Fraction] | None:
     """A basic solution {j: x_j} of A x = b, x >= 0, or None if there is none.
 
-    When `proof` is given, the solve's certificate is written into it.
+    A and b are integral; x is exact, in `Fraction`s.  When `proof` is given,
+    the solve's certificate is written into it.
     """
     if not isinstance(a, System):
         a = System(a)
     m, n = len(a), len(a.columns)
-    # Row i of the scaled system is factor_i (a_i | b_i), integral with b_i >= 0:
-    # factor_i = d_i k_i, k_i != 1 only for b_i < 0 or a denominator new to row i.
-    mults = [(v.denominator // gcd(d, v.denominator)) * (-1 if v < 0 else 1)
-             for d, v in zip(a.factors, b)]
-    factors = [d * k for d, k in zip(a.factors, mults)]
-    rhs = [v.numerator * (f // v.denominator) for f, v in zip(factors, b)]
+    # Row i of the solved system is signs_i (a_i | b_i), with a right side >= 0.
+    signs = [-1 if v < 0 else 1 for v in b]
+    rhs = list(map(mul, signs, b))
     cols = a.columns
-    if any(k != 1 for k in mults):
-        cols = [tuple(map(mul, col, mults)) for col in cols]
+    if -1 in signs:
+        cols = [tuple(map(mul, col, signs)) for col in cols]
     # rows[k] is s_k (B^-1 | x_B | 0), the 0 under the objective's scale.
     rows = [[0] * m + [v, 0] for v in rhs]
     for i, row in enumerate(rows):
@@ -171,15 +156,15 @@ def feasible(a: Sequence[Vector], b: Vector,
 
     if z[m] != 0:
         if proof is not None:
-            # z[i] / z[-1] = y_i for the duals y of the scaled rows.
-            proof.farkas = [z[i] * factors[i] for i in range(m)]
+            # z[i] / z[-1] = y_i for the duals y of the signed rows.
+            proof.farkas = [z[i] * signs[i] for i in range(m)]
         return None
     # s_k is row k's entry in its basic column.
     s = [sum(map(mul, cols[j], row)) for row, j in zip(rows, basis)]
     if proof is not None:
         proof.basis, proof.scale = basis, lcm(*s)
         proof.inverse = [
-            [proof.scale // s[k] * rows[k][i] * factors[i] for i in range(m)]
+            [proof.scale // s[k] * rows[k][i] * signs[i] for i in range(m)]
             for k in range(m)
         ]
     return {basis[k]: Fraction(rows[k][m], s[k]) for k in range(m) if basis[k] < n}
@@ -189,8 +174,8 @@ class Certificates:
     """Feasibility of A x = b, x >= 0, for one A (`a`, one `System`) and many b.
 
     The exactly checked proofs of earlier solves are kept: Farkas vectors in
-    `farkas`, feasible bases (as their `Proof`) in `bases`.  With integral A
-    and b every check is an integer dot product.
+    `farkas`, feasible bases (as their `Proof`) in `bases`.  A and b are
+    integral, so every check is an integer dot product.
     """
 
     def __init__(self, a: Sequence[Vector]):
@@ -219,16 +204,12 @@ class Certificates:
         return True
 
     def is_farkas(self, y: Vector, b: Vector) -> bool:
-        """y^T A <= 0 on every column and y^T b > 0: A x = b has no x >= 0.
-
-        Column j is kept as d_i a_ij, so w_i = y_i L / d_i (L = lcm d_i) has
-        w . column_j = L y^T A_j."""
-        scale = lcm(*self.a.factors)
-        w = [v * (scale // d) for v, d in zip(y, self.a.factors)]
+        """y^T A <= 0 on every integer column A_j and y^T b > 0: A x = b
+        has no x >= 0."""
         return sum(map(mul, y, b)) > 0 and all(
-            sum(map(mul, w, col)) <= 0 for col in self.a.columns)
+            sum(map(mul, y, col)) <= 0 for col in self.a.columns)
 
-    def _scaled_solution(self, proof: Proof, b: Vector) -> dict[int, Rational] | None:
+    def _scaled_solution(self, proof: Proof, b: Vector) -> dict[int, int] | None:
         """{j: scale * x_j} for the basic j < n, or None if the basis fails.
 
         Artificial basic entries must be 0, and A_B x_B = b is checked

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 from .cartan import GCM
 from .errors import BudgetExceeded, InputError
-from .lp import independent_rows, integer_row
+from .lp import independent_rows
 from .modweights import WeightSet
 from .weights import HighestWeight, Offset, offsets_up_to
 
@@ -72,7 +72,8 @@ class GramBuilder:
     """
 
     def __init__(self, lam: HighestWeight, g: GCM):
-        self.scale, self._q = integer_row(lam.q)
+        self.scale = lcm(*(q.denominator for q in lam.q))
+        self._q = [q.numerator * (self.scale // q.denominator) for q in lam.q]
         self._a = [[self.scale * x for x in row] for row in g.a]
         self._raised = [{(): []} for _ in g.a]  # _raised[i][v] = _raise(i, v)
         self._rows = defaultdict(dict, {(): {(): 1}})  # _rows[u][v] = form(u, v)

@@ -1,13 +1,18 @@
+import io
+import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmweights import lp
+from kmweights import cartan, lp
 from kmweights.cartan import parse_gcm
+from kmweights.cli import run
 from kmweights.lp import Certificates, Proof, System, feasible, independent_rows
 from kmweights.modweights import (
+    HullModel,
     hull_contains,
     hull_generators,
     wt_simple_hull,
@@ -17,6 +22,8 @@ from kmweights.weights import HighestWeight, offsets_up_to
 
 from conftest import (
     CORPUS_CASES,
+    CORPUS_MATRICES,
+    CORPUS_WEIGHTS,
     fraction_independent_rows,
     fraction_phase1,
     small_gcms_and_weights,
@@ -61,13 +68,8 @@ def test_farkas_certificate_with_negative_rows(a, b):
     assert Certificates(a).is_farkas(proof.farkas, b)
 
 
-# Rational entries make feasible scale its rows to integers; the proofs it
-# leaves must still check exactly against the caller's rows.
-RATIONALS = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
-
-
 def _entries(bound):
-    return st.one_of(st.integers(-bound, bound), st.sampled_from(RATIONALS))
+    return st.integers(-bound, bound)
 
 
 small_systems = st.integers(1, 3).flatmap(
@@ -112,13 +114,14 @@ def _proof_fields(proof):
     st.lists(_entries(4), min_size=3, max_size=3),
 )
 @settings(max_examples=150, deadline=None)
-def test_a_system_scaled_once_solves_as_plain_rows(system, more, y):
-    # One System serves every b: rows whose b_i is negative or has a new
-    # denominator must be rescaled per b, as a fresh solve on plain rows does.
+def test_one_system_serves_every_sign_pattern_of_b(system, more, y):
+    # One System serves every b: rows whose b_i is negative must be negated
+    # per b, as a fresh solve on plain rows does, and left as kept otherwise.
     a, b = system
     m = len(a)
     shared = System(a)
-    for rhs in [b] + [c[:m] for c in more]:
+    flips = [[s * v for s, v in zip(signs, b)] for signs in product((1, -1), repeat=m)]
+    for rhs in flips + [c[:m] for c in more]:
         proof, plain = Proof(), Proof()
         x = feasible(shared, rhs, proof)
         assert x == feasible(a, rhs, plain)
@@ -130,8 +133,8 @@ def test_a_system_scaled_once_solves_as_plain_rows(system, more, y):
         else:
             assert proof.basis == ref_basis
             assert [[Fraction(v, proof.scale) for v in row] for row in proof.inverse] == ref_inverse
-        # The Farkas check reads the once-scaled columns: it must judge any y
-        # as the caller's rows do.
+        # The Farkas check reads the kept columns: it must judge any y as the
+        # caller's rows do.
         plain_farkas = _dot(y[:m], rhs) > 0 and all(
             _dot(y[:m], [row[j] for row in a]) <= 0 for j in range(len(a[0])))
         assert Certificates(a).is_farkas(y[:m], rhs) is plain_farkas
@@ -198,18 +201,18 @@ def test_basis_reuse_inside_and_outside_its_cone(monkeypatch):
 
 def test_proofs_that_do_not_check_are_dropped(monkeypatch):
     a = [[1, 1], [1, -1]]
-    b = [Fraction(2), Fraction(0)]
+    b = [2, 0]
     certs = Certificates(a)
 
     def bogus_farkas(a, b, proof):
         # y = (1, 0) has y^T A = (1, 1) > 0: not a certificate.
-        proof.farkas = [Fraction(1), Fraction(0)]
+        proof.farkas = [1, 0]
         return None
 
     def wrong_inverse(a, b, proof):
         # A wrong inverse would claim x = (2, 0), which misses the second row.
         proof.basis = [0, 1]
-        proof.inverse = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
+        proof.inverse = [[1, 0], [0, 0]]
         return {0: Fraction(2)}
 
     monkeypatch.setattr(lp, "feasible", bogus_farkas)
@@ -282,7 +285,7 @@ def _assert_cache_matches_fresh_solves(lam, g, bound, depth):
     model = hull_generators(lam, g, depth)
     a = [list(row) for row in model.certificates.a]
     for c in offsets_up_to(g.n, bound):
-        fresh = feasible(a, [Fraction(x) for x in c] + [Fraction(1)]) is not None
+        fresh = feasible(a, [*c, 1]) is not None
         assert hull_contains(model, c) is fresh, c
 
 
@@ -296,6 +299,40 @@ def test_cached_membership_matches_fresh_lp_on_corpus(g, lam):
 def test_cached_membership_matches_fresh_lp_on_random_gcms(case, bound, depth):
     g, lam = case
     _assert_cache_matches_fresh_solves(lam, g, bound, depth)
+
+
+def _non_int_entries(a, b):
+    return [x for x in [*(v for row in a for v in row), *b] if type(x) is not int]
+
+
+@pytest.mark.parametrize("name,qs", [
+    pytest.param(name, qs, id=f"{name}:{','.join(qs)}")
+    for name in CORPUS_MATRICES for qs in CORPUS_WEIGHTS[name]
+])
+def test_every_cli_lp_is_integral(tmp_path, monkeypatch, name, qs):
+    # `lp` has no path for rational entries: every LP the CLI solves, for
+    # fractional lambda too, must have integer A and b.
+    solves = []
+
+    def integral(a, b, proof=None):
+        assert _non_int_entries(a, b) == []
+        solves.append(b)
+        return feasible(a, b, proof)
+
+    monkeypatch.setattr(lp, "feasible", integral)
+    monkeypatch.setattr(cartan, "feasible", integral)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"cartan": CORPUS_MATRICES[name], "lambda": qs}))
+    for argv in (["classify"], ["weights", "--method", "hull", "--height", "4"],
+                 ["verify", "--check", "cross", "--height", "4"]):
+        assert run([argv[0], "--input", str(path), *argv[1:]], stdout=io.StringIO()) == 0
+    assert solves
+
+
+def test_the_integral_check_flags_a_fraction_hull():
+    model = HullModel(frozenset({(Fraction(0), Fraction(0)), (Fraction(-1), Fraction(1, 2))}),
+                      frozenset(), True)
+    assert _non_int_entries(model.certificates.a, [0, 0, 1])
 
 
 def test_hull_needs_few_lp_solves(monkeypatch):
