@@ -42,11 +42,12 @@ Vector = Sequence[int]
 
 
 def reduce(row: Sequence[int], a: int, pivot_row: Sequence[int], p: int) -> list[int]:
-    """p * row - a * pivot_row, divided by its content.
+    """p * row - a * pivot_row over gcd(p, a), divided by its content.
 
     With a and p > 0 the entries of row and pivot_row in one column, the
     result is zero there and a positive multiple of the rationally reduced row.
     """
+    p, a = p // (common := gcd(p, a)), a // common
     r = [p * x - a * y for x, y in zip(row, pivot_row)]
     content = gcd(*r)
     return [x // content for x in r] if content > 1 else r

@@ -10,7 +10,7 @@ for mu != lambda (Kac, Infinite dimensional Lie algebras, ch. 9;
 Kac-Kazhdan 1979); `word_bases` walks the offsets that way.  `GramBuilder`
 pairs by <f_u v_lambda, f_v v_lambda> = <f_{u[1:]} v_lambda, e_{u_0} f_v v_lambda>,
 keeping each e_i f_v v_lambda, built from that of v's tail, and each value,
-in the row of its left word.  Everything is exact.
+in the row of its left word, keyed by integer `word_code`s.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -60,47 +60,56 @@ def words_of_offset(c: Offset) -> list[LoweringWord]:
     return table[c]
 
 
+def word_code(word: LoweringWord, n: int) -> int:
+    """code(()) = 0, code((i,) + w) = code(w) (n + 1) + i + 1: one divmod splits off i + 1."""
+    return sum((i + 1) * (n + 1) ** k for k, i in enumerate(word))
+
+
 class GramBuilder:
     """Caches contravariant-form values for one (lambda, g), in integers.
 
-    `form(u, v)` is d^k <f_u v_lambda, f_v v_lambda> for words of length k,
-    d the lcm of the denominators of lambda: each recursion step multiplies
-    by one coefficient d * (h_i, lambda - c), an integer since A is
+    `form(u, v)` is d^k <f_u v_lambda, f_v v_lambda> for the codes of words of
+    length k, d the lcm of the denominators of lambda: each recursion step
+    multiplies by one coefficient d * (h_i, lambda - c), an integer since A is
     integral.  All words of one offset have one length, so a Gram matrix of
     integer forms is a positive multiple of the rational one, with the same
     rank and the same independent rows.  Values sit in one row per left word.
     """
 
     def __init__(self, lam: HighestWeight, g: GCM):
-        self.scale = lcm(*(q.denominator for q in lam.q))
+        self.n, self.base, self.scale = g.n, g.n + 1, lcm(*(q.denominator for q in lam.q))
         self._q = [q.numerator * (self.scale // q.denominator) for q in lam.q]
-        self._a = [[self.scale * x for x in row] for row in g.a]
-        self._raised = [{(): []} for _ in g.a]  # _raised[i][v] = _raise(i, v)
-        self._rows = defaultdict(dict, {(): {(): 1}})  # _rows[u][v] = form(u, v)
+        self._a = [[0] + [self.scale * x for x in row] for row in g.a]  # [i][j + 1]: letter j
+        self._raised = [{0: []} for _ in g.a]  # _raised[i][v] = _raise(i, v)
+        self._rows = defaultdict(dict, {0: {0: 1}})  # _rows[u][v] = form(u, v)
 
-    def _raise(self, i: int, v: LoweringWord) -> list[tuple[int, LoweringWord]]:
-        """e_i f_v v_lambda as (coefficient, shorter word) terms, scaled by d.
+    def _raise(self, i: int, v: int) -> list[tuple[int, int]]:
+        """e_i f_v v_lambda as (coefficient, shorter word's code) terms, scaled by d.
 
         e_i f_{v_0} = f_{v_0} e_i + delta_{i v_0} h_i, and h_i is the scalar
         d * (h_i, lambda - sum of the tail's alphas) on f_{v[1:]} v_lambda.
         """
         terms = self._raised[i].get(v)
         if terms is None:
-            head, tail = v[0], v[1:]
-            terms = [(coeff, (head,) + w) for coeff, w in self._raise(i, tail)]
-            coeff = self._q[i] - sum(map(self._a[i].__getitem__, tail)) if head == i else 0
-            if coeff:
-                terms.append((coeff, tail))
+            tail, digit = divmod(v, self.base)
+            terms = [(coeff, w * self.base + digit) for coeff, w in self._raise(i, tail)]
+            if digit == i + 1:
+                coeff, rest = self._q[i], tail
+                while rest:
+                    rest, letter = divmod(rest, self.base)
+                    coeff -= self._a[i][letter]
+                if coeff:
+                    terms.append((coeff, tail))
             self._raised[i][v] = terms
         return terms
 
-    def form(self, u: LoweringWord, v: LoweringWord) -> int:
+    def form(self, u: int, v: int) -> int:
         row = self._rows[u]
         value = row.get(v)
         if value is None:
-            value, rest = 0, u[1:]
-            tail = self._rows[rest]
-            for coeff, w in (self._raised[u[0]].get(v) or self._raise(u[0], v)) if u else ():
+            value, (rest, digit) = 0, divmod(u, self.base)
+            tail, terms = self._rows[rest], (self._raised[digit - 1].get(v) if u else ())
+            for coeff, w in self._raise(digit - 1, v) if terms is None else terms:
                 known = tail.get(w)
                 value += coeff * (self.form(rest, w) if known is None else known)
             row[v] = value
@@ -108,17 +117,17 @@ class GramBuilder:
 
 
 def _gram(builder: GramBuilder, words: list[LoweringWord]) -> list[list[int]]:
-    k = len(words)
+    k, codes = len(words), [word_code(w, builder.n) for w in words]
     gram = [[0] * k for _ in range(k)]
     for a in range(k):
         for b in range(a, k):
-            gram[a][b] = gram[b][a] = builder.form(words[a], words[b])
+            gram[a][b] = gram[b][a] = builder.form(codes[a], codes[b])
     return gram
 
 
 def simple_multiplicity(lam: HighestWeight, g: GCM, c: Offset) -> int:
     """dim L(lambda)_{lambda - c}: Gram rank on all words of offset c."""
-    if len(c) != g.n or not all(isinstance(k, int) and k >= 0 for k in c):
+    if len(c := tuple(c)) != g.n or not all(type(k) is int and k >= 0 for k in c):
         raise InputError(f"offset {c} needs {g.n} nonnegative integer entries")
     count = word_count(c)
     if count > WORD_BUDGET:

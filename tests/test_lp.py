@@ -2,6 +2,7 @@ import io
 import json
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from kmweights import cartan, lp
 from kmweights.cartan import parse_gcm
 from kmweights.cli import run
-from kmweights.lp import Certificates, Proof, System, feasible, independent_rows
+from kmweights.lp import Certificates, Proof, System, feasible, independent_rows, reduce
 from kmweights.modweights import (
     HullModel,
     hull_contains,
@@ -397,3 +398,28 @@ def rank_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_independent_rows_match_fraction_elimination(rows):
     assert independent_rows(rows) == fraction_independent_rows(rows)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_reduce_is_the_primitive_positive_multiple(data):
+    # Pivot entries share factors with each other and with the rows, so the
+    # gcd(p, a) step and the content division both have work to do.
+    width = data.draw(st.integers(1, 5))
+    entry = st.integers(-4, 4).map(lambda x: 6 * x) | st.integers(-40, 40)
+    row = data.draw(st.lists(entry, min_size=width, max_size=width))
+    pivot_row = data.draw(st.lists(entry, min_size=width, max_size=width))
+    a = data.draw(entry)
+    p = data.draw(st.integers(1, 40) | st.integers(1, 7).map(lambda x: 6 * x))
+    plain = [p * x - a * y for x, y in zip(row, pivot_row)]
+    content = gcd(*plain)
+    got = reduce(row, a, pivot_row, p)
+    assert got == ([x // content for x in plain] if content else plain)
+
+
+def test_reduce_divides_out_the_row_content():
+    # Without the content division these rows would come out as [4, 6]
+    # and, after dividing p and a by gcd(6, 4) = 2, as [18, 15].
+    assert reduce([4, 6], 0, [0, 0], 1) == [2, 3]
+    assert reduce([2, 9], 3, [4, 3], 2) == [-8, 9]
+    assert reduce([6, 9], 4, [0, 6], 6) == [6, 5]

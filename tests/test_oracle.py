@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -15,6 +15,7 @@ from kmweights.oracle import (
     oracle_weight_set,
     simple_multiplicity,
     word_bases,
+    word_code,
     word_count,
     words_of_offset,
 )
@@ -33,7 +34,30 @@ AFF = parse_gcm([[2, -2], [-2, 2]])
 def gram_entry(lam, g, u, v):
     """<f_u v_lambda, f_v v_lambda>: the integer form over its scale d^k."""
     builder = GramBuilder(lam, g)
-    return Fraction(builder.form(u, v), builder.scale ** len(u))
+    return Fraction(builder.form(word_code(u, g.n), word_code(v, g.n)), builder.scale ** len(u))
+
+
+def _offset_of(code, n):
+    """The offset of the word with this code: its letter counts."""
+    counts = [0] * n
+    while code:
+        code, digit = divmod(code, n + 1)
+        counts[digit - 1] += 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_word_codes_are_distinct_and_split_off_the_first_letter(n):
+    codes = {}
+    for k in range(7):
+        for word in product(range(n), repeat=k):
+            code = word_code(word, n)
+            if word:
+                assert divmod(code, n + 1) == (word_code(word[1:], n), word[0] + 1)
+            else:
+                assert code == 0
+            assert codes.setdefault(code, word) == word
+            assert _offset_of(code, n) == tuple(word.count(i) for i in range(n))
 
 
 def test_norm_of_highest_weight_vector():
@@ -104,7 +128,7 @@ def test_shared_builder_matches_rational_recursion(case, data):
     builder = GramBuilder(lam, g)
     for u, v in data.draw(st.permutations(pairs)):
         expect = _rational_form(lam, g, u, v) * builder.scale ** len(u)
-        assert builder.form(u, v) == expect, (u, v)
+        assert builder.form(word_code(u, g.n), word_code(v, g.n)) == expect, (u, v)
 
 
 def test_integer_form_scale_six_to_the_fourth():
@@ -292,17 +316,24 @@ def test_word_bases_match_fraction_rank_reference(case):
             (i,) + w for i in range(g.n) if c[i]
             for w in expect[c[:i] + (c[i] - 1,) + c[i + 1 :]]
         ]
-        gram = [[builder.form(u, v) for v in candidates] for u in candidates]
+        codes = [word_code(u, g.n) for u in candidates]
+        gram = [[builder.form(u, v) for v in codes] for u in codes]
         expect[c] = [candidates[k] for k in fraction_independent_rows(gram)]
     assert word_bases(lam, g, bound) == expect
 
 
-@pytest.mark.parametrize("c", [(-1, 0), (1,), (0, 0, 0), (1.0, 1)])
+@pytest.mark.parametrize("c", [(-1, 0), (1,), (0, 0, 0), (1.0, 1), (True, True), (1, False)])
 def test_multiplicity_offset_must_fit_the_rank(c):
     # Unchecked, (-1, 0) raised ValueError from math.comb, (1.0, 1) a
-    # TypeError, and (1,) and (0, 0, 0) returned 1.
+    # TypeError, (1,) and (0, 0, 0) returned 1, and (True, True) returned
+    # 2, the multiplicity at (1, 1).
     with pytest.raises(InputError, match="needs 2 nonnegative integer entries"):
         simple_multiplicity(HighestWeight.of([1, 1]), A2, c)
+
+
+def test_multiplicity_takes_a_list_offset_like_its_tuple():
+    lam = HighestWeight.of([1, 1])
+    assert simple_multiplicity(lam, A2, [1, 1]) == simple_multiplicity(lam, A2, (1, 1)) == 2
 
 
 def test_oracle_budget_checked_before_gram_entries(monkeypatch):
@@ -313,7 +344,7 @@ def test_oracle_budget_checked_before_gram_entries(monkeypatch):
     form = GramBuilder.form
 
     def spy(self, u, v):
-        asked.append((u.count(0), u.count(1)))
+        asked.append(_offset_of(u, 2))
         return form(self, u, v)
 
     monkeypatch.setattr(GramBuilder, "form", spy)
