@@ -160,15 +160,20 @@ def wt_parabolic_verma(
     seeds c of ht <= bound that are J-dominant and nondegenerate against
     lambda - b, b = c off J (each component of supp(c) in J meets an i with
     (h_i, lambda - b) != 0).  s_i, i in J, moves only c_i, so a W_J-orbit is
-    b plus the orbit of c - b at lambda - b.
+    b plus the orbit of c - b at lambda - b.  The nondegeneracy test reads only b
+    and supp(c) in J, so it is decided once per such pair.
     Raises Inapplicable unless J lies in the integrability set.
     """
     nodes = levi_nodes(lam, nodes)
-    seeds = []
+    seeds, nondegenerate = [], {}
     for c in offsets_up_to(g.n, bound, [(g.a[j], lam.q[j].numerator) for j in nodes]):
-        b = [0 if i in nodes else x for i, x in enumerate(c)]
-        if all(any(lam.q[i].numerator != cartan_pairing(g, b, i) for i in comp)
-               for comp in components(g, [i for i in nodes if c[i]])):
+        b = tuple(0 if i in nodes else x for i, x in enumerate(c))
+        key = b, tuple(i for i in nodes if c[i])
+        if key not in nondegenerate:
+            nondegenerate[key] = all(
+                any(lam.q[i].numerator != cartan_pairing(g, b, i) for i in comp)
+                for comp in components(g, key[1]))
+        if nondegenerate[key]:
             seeds.append(c)
     return WeightSet(frozenset(orbit_truncated(lam, g, nodes, seeds, bound)))
 

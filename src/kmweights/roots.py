@@ -9,8 +9,8 @@ from .weyl import orbit_truncated
 
 def positive_real_up_to(g: GCM, height: int) -> set[SignedOffset]:
     """All positive real roots of height <= `height`: the orbits of the simple roots.
-    At lambda = 0, `reflect_weight` is s_i on the root lattice, and the images
-    it drops are those that leave the positive cone."""
+    At lambda = 0, the walk's step is s_i on the root lattice, and the images
+    it skips are those that leave the positive cone."""
     return orbit_truncated(HighestWeight.of([0] * g.n), g, range(g.n),
                            [unit(g.n, i) for i in range(g.n)], height)
 

@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from operator import mul
 
 from .cartan import GCM, is_finite_type
 from .errors import BudgetExceeded, Inapplicable
 from .weights import (
     HighestWeight,
     Offset,
-    add,
     cartan_pairing,
     ht,
-    is_negative,
-    is_positive,
     unit,
     zero_offset,
 )
@@ -60,25 +59,21 @@ def levi_nodes(lam: HighestWeight, nodes: Iterable[int]) -> list[int]:
 
 
 def min_summand_height(w: GroupElement) -> int:
-    """Height of the lowest-order term the summand of w can contribute."""
-    h = ht(w.displacement)
-    for img in w.simple_images:
-        if is_negative(img):
-            h += -ht(img)
-    return h
+    """Height of the lowest-order term the summand of w can contribute.  Each w alpha_j
+    is a real root, so it is negative exactly when its height is."""
+    return ht(w.displacement) - sum(min(ht(img), 0) for img in w.simple_images)
 
 
 def _extend(lam: HighestWeight, g: GCM, w: GroupElement, i: int) -> GroupElement:
-    """w s_i with length(w s_i) = length(w) + 1 (caller checks w alpha_i > 0)."""
-    n = g.n
+    """w s_i with length(w s_i) = length(w) + 1 (caller checks w alpha_i > 0).  Its
+    images w alpha_j - a_ij w alpha_i reuse w alpha_j where a_ij = 0."""
     img_i = w.simple_images[i]
-    new_images = tuple(
-        tuple(w.simple_images[j][k] - g.a[i][j] * img_i[k] for k in range(n))
-        for j in range(n)
-    )
+    new_images = tuple(v if not a else tuple(x - a * y for x, y in zip(v, img_i))
+                       for v, a in zip(w.simple_images, g.a[i]))
     # q_i >= 0 (levi_nodes) and w alpha_i > 0, so the displacement height cannot fall.
-    d = add(w.displacement, tuple(lam.q[i].numerator * x for x in img_i))
-    return GroupElement(w.word + (i,), new_images, d)
+    q, d = lam.q[i].numerator, w.displacement
+    return GroupElement(w.word + (i,), new_images,
+                        tuple(x + q * y for x, y in zip(d, img_i)) if q else d)
 
 
 def enumerate_group(
@@ -92,8 +87,10 @@ def enumerate_group(
     is then missed.  For finite W_J its summands cancel below the bound;
     tests/test_series.py checks wkw_sum against all of W_J.  w != e is built only from
     its parent w s_d, d its largest descent in J (w alpha_d < 0), so w.word[:-1] is the
-    parent's word.  Raises BudgetExceeded once element WEYL_BUDGET + 1 is built, and
-    Inapplicable, before the identity, unless J lies in I_lambda.
+    parent's word.  A real root is positive or negative (Kac, Infinite dimensional Lie
+    algebras, 5.1), so w alpha_j > 0 is read as ht(w alpha_j) > 0.  Raises
+    BudgetExceeded once element WEYL_BUDGET + 1 is built, and Inapplicable, before the
+    identity, unless J lies in I_lambda.
     """
     nodes = levi_nodes(lam, nodes)
     frontier = [identity(g.n)]
@@ -109,9 +106,9 @@ def enumerate_group(
         nxt = []
         for w in frontier:
             for i in nodes:
-                if is_positive(w.simple_images[i]):
+                if ht(w.simple_images[i]) > 0:
                     child = _extend(lam, g, w, i)
-                    if all(j <= i or is_positive(child.simple_images[j]) for j in nodes):
+                    if all(j <= i or ht(child.simple_images[j]) > 0 for j in nodes):
                         nxt.append(child)
                         built += 1
                         if built > WEYL_BUDGET:
@@ -125,32 +122,40 @@ def enumerate_group(
 def orbit_walk(lam: HighestWeight, g: GCM, nodes: Iterable[int], seeds: Iterable[Offset],
                height: int | None = None, depth: int | None = None
                ) -> tuple[dict[Offset, int], bool]:
-    """W_J-orbits of `seeds`, J = nodes, by `reflect_weight` at lambda: each point's
-    reflection distance from the seeds, and whether the walk is whole.
+    """W_J-orbits of `seeds`, J = nodes, in lambda - Q_+: each point's reflection
+    distance from the seeds, and whether the walk is whole.
 
-    One breadth-first queue.  Points (seeds included) of ht > `height` are dropped,
-    which loses nothing when the seeds are J-dominant (height is nondecreasing along
-    the weak order from a dominant start) or, at lambda = 0, Pi or K (every positive
-    root descends to a seed by height-lowering reflections).  The walk stops, not
-    whole, once distance `depth` + 1 would add a point.  From offset 0 at a lambda
-    with every (h_i, lambda) >= 1, i in J, each point is lambda - w lambda for one w
-    in W_J, at distance l(w).  Raises BudgetExceeded at point WEYL_BUDGET + 1, and
-    Inapplicable unless J lies in I_lambda."""
-    nodes = levi_nodes(lam, nodes)
-    dist = dict.fromkeys((tuple(c) for c in seeds if height is None or ht(c) <= height), 0)
+    One breadth-first queue.  s_i moves c_i alone, by the integer k = q_i - (A c)_i
+    (J lies in I_lambda), and an image is skipped before it is built when k = 0, when
+    c_i + k < 0 (it leaves lambda - Q_+) or when ht(c) + k > `height`.  Points (seeds
+    included) of ht > `height` are dropped, which loses nothing when the seeds are
+    J-dominant (height is nondecreasing along the weak order from a dominant start)
+    or, at lambda = 0, Pi or K (every positive root descends to a seed by
+    height-lowering reflections).  The walk stops, not whole, once distance `depth` + 1
+    would add a point.  From offset 0 at a lambda with every (h_i, lambda) >= 1, i in
+    J, each point is lambda - w lambda for one w in W_J, at distance l(w).  Raises
+    BudgetExceeded at point WEYL_BUDGET + 1, and Inapplicable unless J lies in
+    I_lambda."""
+    steps = [(i, lam.q[i].numerator, g.a[i]) for i in levi_nodes(lam, nodes)]
+    top = math.inf if height is None else height
+    dist = dict.fromkeys((c for c in map(tuple, seeds) if sum(c) <= top), 0)
     queue = list(dist)
     for c in queue:  # the loop also visits what it appends
-        for i in nodes:
-            img = reflect_weight(lam, g, i, c)
-            if img is None or img in dist or (height is not None and ht(img) > height):
+        d, room = dist[c], top - sum(c)
+        for i, q, row in steps:
+            k = q - sum(map(mul, row, c))
+            if not k or c[i] + k < 0 or k > room:
                 continue
-            if dist[c] == depth:  # breadth-first: the whole ball is in dist
+            img = c[:i] + (c[i] + k,) + c[i + 1:]
+            if img in dist:
+                continue
+            if d == depth:  # breadth-first: the whole ball is in dist
                 return dist, False
-            dist[img] = dist[c] + 1
+            dist[img] = d + 1
             queue.append(img)
             if len(dist) > WEYL_BUDGET:
                 raise BudgetExceeded(f"{len(dist)} points by reflection "
-                                     f"distance {dist[img]}; budget {WEYL_BUDGET}")
+                                     f"distance {d + 1}; budget {WEYL_BUDGET}")
     return dist, True
 
 

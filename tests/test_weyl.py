@@ -35,7 +35,14 @@ from kmweights.weyl import (
     stabilizer_is_finite,
 )
 
-from conftest import apply, in_parabolic_dominant, reflect, small_gcms, small_gcms_and_weights
+from conftest import (
+    PAIRINGS,
+    apply,
+    in_parabolic_dominant,
+    reflect,
+    small_gcms,
+    small_gcms_and_weights,
+)
 
 A1 = parse_gcm([[2]])
 A2 = parse_gcm([[2, -1], [-1, 2]])
@@ -200,6 +207,38 @@ def test_enumerate_group_is_a_tree_of_reduced_words(case, data):
         assert x == w
 
 
+def _replayed(lam, g, word):
+    """(w alpha_j for each j, lambda - w lambda) for w spelled by `word`, each
+    simple reflection applied right to left on its own: s_i beta = beta - (A beta)_i
+    alpha_i on roots, and the same rule at lambda on the offset of lambda - c."""
+    images = [tuple(int(j == k) for k in range(g.n)) for j in range(g.n)]
+    c = (0,) * g.n
+    for i in reversed(word):
+        images = [reflect(g, i, v) for v in images]
+        c = tuple(x + int(pairing(lam, g, c, i)) * (k == i) for k, x in enumerate(c))
+    return tuple(images), c
+
+
+@given(small_gcms_and_weights(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_group_elements_match_their_words_reflection_by_reflection(case, data):
+    # Builds every element from its word alone, apart from _extend.
+    g, lam = case
+    integrable = sorted(integrability_set(lam))
+    nodes = sorted(data.draw(st.sets(st.sampled_from(integrable)))) if integrable else []
+    height = data.draw(st.one_of(st.none(), st.integers(0, 6)))
+    try:
+        got = list(takewhile(lambda w: w.length <= 5,
+                             enumerate_group(lam, g, nodes, height=height)))
+    except BudgetExceeded:
+        return
+    for w in got:
+        assert (w.simple_images, w.displacement) == _replayed(lam, g, w.word)
+        for img in w.simple_images:  # a real root is positive or negative
+            assert is_positive(img) == (ht(img) > 0)
+            assert is_negative(img) == (ht(img) < 0)
+
+
 def test_orbit_sl2():
     lam = HighestWeight.of([3])
     assert orbit_truncated(lam, A1, [0], [(0,)], 10) == {(0,), (3,)}
@@ -288,6 +327,68 @@ def test_walk_distance_at_lambda_plus_rho_is_the_length(g, data):
     height = data.draw(st.integers(0, max(map(ht, want))))
     dist, whole = orbit_walk(shifted, g, range(g.n), [(0,) * g.n], height=height)
     assert (dist, whole) == ({c: d for c, d in want.items() if ht(c) <= height}, True)
+
+
+def _reference_walk(lam, g, nodes, seeds, height, depth):
+    """orbit_walk level by level under `reflect_weight`: (distances, whole)."""
+    def fits(c):
+        return height is None or ht(c) <= height
+
+    dist = {tuple(c): 0 for c in seeds if fits(c)}
+    level, d = list(dist), 0
+    while level:
+        nxt = []
+        for c in level:
+            for i in nodes:
+                img = reflect_weight(lam, g, i, c)
+                if img is None or img in dist or not fits(img):
+                    continue
+                if d == depth:
+                    return dist, False
+                dist[img] = d + 1
+                nxt.append(img)
+        level, d = nxt, d + 1
+    return dist, True
+
+
+@st.composite
+def walk_cases(draw):
+    """A GCM of rank <= 4, a fractional lambda, J in I_lambda, arbitrary seeds (some
+    not J-dominant, some above the height) and a height mode or a depth 0-4."""
+    g = draw(small_gcms(max_rank=4))
+    lam = HighestWeight.of(draw(st.lists(st.sampled_from(PAIRINGS), min_size=g.n,
+                                         max_size=g.n)))
+    integrable = sorted(integrability_set(lam))
+    nodes = sorted(draw(st.sets(st.sampled_from(integrable)))) if integrable else []
+    seeds = draw(st.lists(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n),
+                          min_size=1, max_size=4))
+    if draw(st.booleans()):
+        height, depth = draw(st.integers(0, 8)), None
+    else:
+        height, depth = None, draw(st.integers(0, 4))
+    return g, lam, nodes, seeds, height, depth
+
+
+@given(walk_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_orbit_walk_matches_the_reflection_reference(case, data):
+    g, lam, nodes, seeds, height, depth = case
+    want = _reference_walk(lam, g, nodes, seeds, height, depth)
+    dist, whole = orbit_walk(lam, g, nodes, seeds, height=height, depth=depth)
+    assert (list(dist.items()), whole) == (list(want[0].items()), want[1])  # visit order too
+    # Under a smaller budget the walk refuses at the same point, distance and message:
+    # at the first point a reflection adds past the budget (seeds are not checked).
+    budget = data.draw(st.integers(1, max(1, len(want[0]))))
+    refused = max(budget, sum(d == 0 for d in want[0].values()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weyl, "WEYL_BUDGET", budget)
+        if len(want[0]) <= refused:
+            assert orbit_walk(lam, g, nodes, seeds, height=height, depth=depth) == want
+            return
+        message = (f"{refused + 1} points by reflection distance "
+                   f"{list(want[0].values())[refused]}; budget {budget}")
+        with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+            orbit_walk(lam, g, nodes, seeds, height=height, depth=depth)
 
 
 def test_height_walk_counts_points_against_the_budget(monkeypatch):
