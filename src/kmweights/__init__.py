@@ -1,6 +1,6 @@
 """Exact weight sets of simple highest-weight modules over Kac-Moody algebras."""
 
-from .cartan import GCM, DiagramType, classify, parse_gcm, symmetrizable
+from .cartan import GCM, classify, parse_gcm, symmetrizable
 from .weights import HighestWeight, integrability_set, pairing
 from .modweights import (
     WeightSet,
@@ -14,7 +14,6 @@ from .series import atiyah_bott_sum, wkw_sum
 
 __all__ = [
     "GCM",
-    "DiagramType",
     "HighestWeight",
     "WeightSet",
     "atiyah_bott_sum",

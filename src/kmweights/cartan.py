@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from fractions import Fraction
 
 from .errors import InputError
 from .lp import feasible
-
-
-class DiagramType(enum.Enum):
-    FINITE = "Finite"
-    AFFINE = "Affine"
-    INDEFINITE = "Indefinite"
 
 
 class GCM:
@@ -107,7 +100,7 @@ def closure(seeds: Iterable[Hashable], successors: Callable[[Hashable], Iterable
     return out
 
 
-def _component_type(g: GCM, nodes: tuple[int, ...]) -> DiagramType:
+def _component_type(g: GCM, nodes: tuple[int, ...]) -> str:
     # Vinberg trichotomy for an indecomposable GCM A, decided by exact LP:
     #   Finite: exists u > 0 with Au > 0;  Affine: exists u > 0 with Au = 0.
     # Both systems are homogeneous, so strictness can be replaced by >= 1.
@@ -117,22 +110,21 @@ def _component_type(g: GCM, nodes: tuple[int, ...]) -> DiagramType:
     # Finite: A(x + 1) - s = 1, i.e. Ax - s = 1 - A1, x, s >= 0.
     eq = [a[i] + [-1 if i == j else 0 for j in range(k)] for i in range(k)]
     if feasible(eq, [1 - row_sums[i] for i in range(k)]) is not None:
-        return DiagramType.FINITE
+        return "Finite"
     # Affine: A(x + 1) = 0, i.e. Ax = -A1, x >= 0.
     if feasible(a, [-row_sums[i] for i in range(k)]) is not None:
-        return DiagramType.AFFINE
-    return DiagramType.INDEFINITE
+        return "Affine"
+    return "Indefinite"
 
 
-def classify(
-    g: GCM, nodes: Iterable[int] | None = None
-) -> list[tuple[tuple[int, ...], DiagramType]]:
-    """Label each component of the diagram on `nodes` (default: all) by its type."""
+def classify(g: GCM, nodes: Iterable[int] | None = None) -> list[tuple[tuple[int, ...], str]]:
+    """Label each component of the diagram on `nodes` (default: all) by its type:
+    "Finite", "Affine" or "Indefinite", the names the CLI prints."""
     return [(comp, _component_type(g, comp)) for comp in components(g, nodes)]
 
 
 def is_finite_type(g: GCM, nodes: Iterable[int] | None = None) -> bool:
-    return all(t is DiagramType.FINITE for _, t in classify(g, nodes))
+    return all(t == "Finite" for _, t in classify(g, nodes))
 
 
 def symmetrizable(g: GCM) -> tuple[Fraction, ...] | None:

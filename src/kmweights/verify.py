@@ -1,4 +1,4 @@
-"""End-to-end identity checkers with machine-readable reports."""
+"""End-to-end identity checkers, each returning the JSON document the CLI prints."""
 
 from __future__ import annotations
 
@@ -24,23 +24,12 @@ from .weyl import reflect_weight, stabilizer_is_finite
 DENOMINATOR_BUDGET = 10 ** 6
 
 
-class Report:
-    """The outcome of one check; `details` is a fresh dict unless one is given."""
-
-    __slots__ = ("check", "passed", "expected_failure", "details")
-
-    def __init__(self, check: str, passed: bool, expected_failure: bool = False,
-                 details: dict[str, object] | None = None):
-        self.check, self.passed, self.expected_failure = check, passed, expected_failure
-        self.details = {} if details is None else details
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "check": self.check,
-            "status": "PASS" if self.passed else "FAIL",
-            "expected_failure": self.expected_failure,
-            "details": self.details,
-        }
+def report(check: str, passed: bool, details: dict[str, object],
+           expected_failure: bool = False) -> dict[str, object]:
+    """The document of one check: {"check", "status" (PASS or FAIL), "expected_failure",
+    "details"}."""
+    return {"check": check, "status": "PASS" if passed else "FAIL",
+            "expected_failure": expected_failure, "details": details}
 
 
 def series_json(terms: dict[Offset, int]) -> list[dict[str, object]]:
@@ -58,7 +47,7 @@ def _minus_indicator(
     return {c: v for c, v in diff.items() if v}
 
 
-def verify_denominator_bases(g: GCM) -> Report:
+def verify_denominator_bases(g: GCM) -> dict[str, object]:
     """Coordinate-free denominator identity over all bases of a finite root system.
 
     The bases are the images w(Pi) for w in W, and w permutes Phi, so the
@@ -105,7 +94,7 @@ def verify_denominator_bases(g: GCM) -> Report:
         for k in orbit:
             diff[k] = diff.get(k, 0) - s
     left = sorted((decode(k, base, g.n, base // 2), v) for k, v in diff.items() if v)
-    return Report(
+    return report(
         "denominator",
         passed=not left,
         details={
@@ -116,7 +105,7 @@ def verify_denominator_bases(g: GCM) -> Report:
     )
 
 
-def verify_rank2_macdonald(g: GCM, bound: int) -> Report:
+def verify_rank2_macdonald(g: GCM, bound: int) -> dict[str, object]:
     """Multiplicity-free Macdonald identity for rank-2 infinite type.
 
     LHS: the Weyl-group sum for lambda = 0 over the full infinite dihedral
@@ -129,7 +118,7 @@ def verify_rank2_macdonald(g: GCM, bound: int) -> Report:
     lhs = wkw_sum(HighestWeight.of([0, 0]), g, bound).terms
     rhs = [(0, 0), *positive_imaginary_up_to(g, bound)]
     diff = _minus_indicator(lhs, rhs)
-    return Report(
+    return report(
         "macdonald",
         passed=not diff,
         details={
@@ -140,7 +129,7 @@ def verify_rank2_macdonald(g: GCM, bound: int) -> Report:
     )
 
 
-def verify_wkw_vs_weights(lam: HighestWeight, g: GCM, bound: int) -> Report:
+def verify_wkw_vs_weights(lam: HighestWeight, g: GCM, bound: int) -> dict[str, object]:
     """Weyl-group weight sum against the slice weight set.
 
     With a finite stabilizer the sum must be the 0/1 indicator of the
@@ -152,7 +141,7 @@ def verify_wkw_vs_weights(lam: HighestWeight, g: GCM, bound: int) -> Report:
     diff = _minus_indicator(terms, wt_simple_slice(lam, g, bound).members)
     coeffs_ok = all(v in (0, 1) for v in terms.values())
     passed = not diff and coeffs_ok
-    return Report(
+    return report(
         "wkw",
         passed=passed,
         expected_failure=(not passed and not finite_stab),
@@ -164,7 +153,9 @@ def verify_wkw_vs_weights(lam: HighestWeight, g: GCM, bound: int) -> Report:
     )
 
 
-def check_integrability_invariants(lam: HighestWeight, g: GCM, bound: int) -> Report:
+def check_integrability_invariants(
+    lam: HighestWeight, g: GCM, bound: int
+) -> dict[str, object]:
     """Stabilizer invariant: s_i preserves the truncated weight set iff i in I_lambda.
 
     Checked inside the safe window where both an offset and its
@@ -179,22 +170,24 @@ def check_integrability_invariants(lam: HighestWeight, g: GCM, bound: int) -> Re
 
     preserving = [i for i in range(g.n) if all(inside(i, c) for c in ws.members)]
     ilam = sorted(integrability_set(lam))
-    return Report(
+    return report(
         "integrability",
         passed=preserving == ilam,
         details={"preserving": preserving, "integrability_set": ilam},
     )
 
 
-def verify_cross(lam: HighestWeight, g: GCM, bound: int) -> Report:
-    """Set equality of the slice, hull, and (when applicable) orbit formulas."""
-    ws_slice = wt_simple_slice(lam, g, bound)
-    ws_hull = wt_simple_hull(lam, g, bound)
-    details: dict = {"slice_size": len(ws_slice.members)}
-    ok = ws_slice.members == ws_hull.members
-    details["hull_equal"] = ok
-    details["orbit_equal"] = None
-    if stabilizer_is_finite(lam, g):
-        details["orbit_equal"] = wt_simple_orbit(lam, g, bound).members == ws_slice.members
-        ok = ok and details["orbit_equal"]
-    return Report("cross", passed=ok, details=details)
+def verify_cross(lam: HighestWeight, g: GCM, bound: int) -> dict[str, object]:
+    """Set equality of the slice, hull, and (when applicable) orbit formulas.
+
+    The orbit formula refuses, and orbit_equal is null, when the stabilizer of
+    lambda in W_{I_lambda} is infinite.
+    """
+    members = wt_simple_slice(lam, g, bound).members
+    hull_equal = wt_simple_hull(lam, g, bound).members == members
+    try:
+        orbit_equal = wt_simple_orbit(lam, g, bound).members == members
+    except Inapplicable:
+        orbit_equal = None
+    details = {"slice_size": len(members), "hull_equal": hull_equal, "orbit_equal": orbit_equal}
+    return report("cross", passed=hull_equal and orbit_equal is not False, details=details)

@@ -134,11 +134,13 @@ def orbit_walk(lam: HighestWeight, g: GCM, nodes: Iterable[int], seeds: Iterable
     height-lowering reflections).  The walk stops, not whole, once distance `depth` + 1
     would add a point.  From offset 0 at a lambda with every (h_i, lambda) >= 1, i in
     J, each point is lambda - w lambda for one w in W_J, at distance l(w).  Raises
-    BudgetExceeded at point WEYL_BUDGET + 1, and Inapplicable unless J lies in
-    I_lambda."""
+    BudgetExceeded, before any reflection, for more than WEYL_BUDGET seeds kept and
+    otherwise at point WEYL_BUDGET + 1, and Inapplicable unless J lies in I_lambda."""
     steps = [(i, lam.q[i].numerator, g.a[i]) for i in levi_nodes(lam, nodes)]
     top = math.inf if height is None else height
     dist = dict.fromkeys((c for c in map(tuple, seeds) if sum(c) <= top), 0)
+    if len(dist) > WEYL_BUDGET:
+        raise BudgetExceeded(f"{len(dist)} seeds; budget {WEYL_BUDGET}")
     queue = list(dist)
     for c in queue:  # the loop also visits what it appends
         d, room = dist[c], top - sum(c)

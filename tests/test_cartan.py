@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from kmweights.cartan import (
-    DiagramType,
     classify,
     components,
     is_finite_type,
@@ -49,25 +48,25 @@ def test_parse_rejects_positive_offdiagonal():
 @pytest.mark.parametrize(
     "matrix,expected",
     [
-        ([[2, -1], [-1, 2]], DiagramType.FINITE),
-        ([[2, -2], [-2, 2]], DiagramType.AFFINE),
-        ([[2, -3], [-3, 2]], DiagramType.INDEFINITE),
-        ([[2, -4], [-1, 2]], DiagramType.AFFINE),
-        ([[2]], DiagramType.FINITE),
+        ([[2, -1], [-1, 2]], "Finite"),
+        ([[2, -2], [-2, 2]], "Affine"),
+        ([[2, -3], [-3, 2]], "Indefinite"),
+        ([[2, -4], [-1, 2]], "Affine"),
+        ([[2]], "Finite"),
     ],
 )
 def test_classify_trichotomy(matrix, expected):
     g = parse_gcm(matrix)
     [(nodes, t)] = classify(g)
     assert nodes == tuple(range(g.n))
-    assert t is expected
+    assert t == expected
 
 
 def test_classify_splits_components():
     g = parse_gcm([[2, 0, 0], [0, 2, -2], [0, -2, 2]])
     got = dict(classify(g))
-    assert got[(0,)] is DiagramType.FINITE
-    assert got[(1, 2)] is DiagramType.AFFINE
+    assert got[(0,)] == "Finite"
+    assert got[(1, 2)] == "Affine"
 
 
 def test_classify_permutation_invariant():
@@ -75,19 +74,19 @@ def test_classify_permutation_invariant():
     g = parse_gcm([[2, -3, 0], [-3, 2, 0], [0, 0, 2]])
     perm = [2, 0, 1]
     pg = parse_gcm([[g.a[perm[i]][perm[j]] for j in range(3)] for i in range(3)])
-    types = sorted(t.value for _, t in classify(g))
-    ptypes = sorted(t.value for _, t in classify(pg))
+    types = sorted(t for _, t in classify(g))
+    ptypes = sorted(t for _, t in classify(pg))
     assert types == ptypes
 
 
 # A subdiagram is the diagram on a node set, which classify takes.
 def test_subdiagram_fig_left():
-    assert classify(parse_gcm(FIG_LEFT), [1, 2]) == [((1, 2), DiagramType.FINITE)]
+    assert classify(parse_gcm(FIG_LEFT), [1, 2]) == [((1, 2), "Finite")]
 
 
 def test_subdiagram_fig_right():
     g = parse_gcm(FIG_RIGHT)
-    assert classify(g, [0, 1]) == [((0, 1), DiagramType.AFFINE)]
+    assert classify(g, [0, 1]) == [((0, 1), "Affine")]
     assert not is_finite_type(g, [0, 1])
 
 

@@ -10,7 +10,6 @@ import kmweights
 from kmweights.cartan import GCM, parse_gcm
 from kmweights.modweights import HullModel, WeightSet
 from kmweights.series import LaurentElt, TruncSeries, finite_weyl_group
-from kmweights.verify import Report
 from kmweights.weights import HighestWeight
 from kmweights.weyl import GroupElement, identity
 
@@ -37,13 +36,6 @@ def test_cli_start_imports_neither_dataclasses_nor_typing(tmp_path):
     assert out.split() == ["0"]
 
 
-def test_reports_without_details_do_not_share_a_dict():
-    first, second = Report("cross", True), Report("wkw", False)
-    first.details["slice_size"] = 1
-    assert second.details == {}
-    assert Report("cross", True, details={"k": 1}).details == {"k": 1}
-
-
 def test_gcm_labels_default_to_node_indices():
     a3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
     assert GCM(a3).labels == ("0", "1", "2")
@@ -66,7 +58,7 @@ def test_weight_set_is_complete_by_default():
 
 def test_slot_classes_take_no_new_attributes():
     for value in (GCM(((2,),)), HighestWeight.of([1]), WeightSet(frozenset()),
-                  TruncSeries(1, 2, {}), LaurentElt(1, {}), Report("cross", True),
+                  TruncSeries(1, 2, {}), LaurentElt(1, {}),
                   HullModel(frozenset({(0,)}), frozenset(), True)):
         with pytest.raises(AttributeError):
             value.extra = None

@@ -1,9 +1,11 @@
 import gc
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
-from kmweights import verify
+from kmweights import cartan, cli, verify
 from kmweights.cartan import parse_gcm
 from kmweights.errors import Inapplicable
 from kmweights.modweights import wt_simple_orbit, wt_simple_slice
@@ -12,6 +14,7 @@ from kmweights.roots import positive_imaginary_up_to
 from kmweights.series import finite_weyl_group
 from kmweights.verify import (
     check_integrability_invariants,
+    verify_cross,
     verify_denominator_bases,
     verify_rank2_macdonald,
     verify_wkw_vs_weights,
@@ -29,22 +32,22 @@ AFF = parse_gcm([[2, -2], [-2, 2]])
 
 def test_denominator_a1_hand_check():
     r = verify_denominator_bases(A1)
-    assert r.passed
-    assert r.details["bases"] == 2
-    assert r.details["roots"] == 2
+    assert r["status"] == "PASS"
+    assert r["details"]["bases"] == 2
+    assert r["details"]["roots"] == 2
 
 
 def test_denominator_a2():
     r = verify_denominator_bases(A2)
-    assert r.passed
-    assert r.details["bases"] == 6
+    assert r["status"] == "PASS"
+    assert r["details"]["bases"] == 6
 
 
 def test_denominator_g2():
     r = verify_denominator_bases(G2)
-    assert r.passed
-    assert r.details["bases"] == 12
-    assert r.details["roots"] == 12
+    assert r["status"] == "PASS"
+    assert r["details"]["bases"] == 12
+    assert r["details"]["roots"] == 12
 
 
 B3 = parse_gcm([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
@@ -78,10 +81,10 @@ def test_denominator_repeated_element_leaves_its_image_of_p(g, repeat, monkeypat
     monkeypatch.setattr(verify, "finite_weyl_group",
                         lambda lam, g: (elements + [w], pos))
     r = verify_denominator_bases(g)
-    assert not r.passed
+    assert r["status"] == "FAIL"
     want = sorted((apply(w, d), -v) for d, v in folded_p(g, elements, pos).items())
     assert want
-    assert r.details["difference"] == [
+    assert r["details"]["difference"] == [
         {"exponent": list(c), "coefficient": v} for c, v in want
     ]
 
@@ -94,7 +97,7 @@ def test_denominator_fails_without_any_one_element(g, monkeypatch):
     for j in range(len(elements)):
         kept = elements[:j] + elements[j + 1:]
         monkeypatch.setattr(verify, "finite_weyl_group", lambda lam, g: (kept, pos))
-        assert not verify_denominator_bases(g).passed, elements[j].word
+        assert verify_denominator_bases(g)["status"] == "FAIL", elements[j].word
 
 
 def test_offsets_and_denominator_check_leave_no_reference_cycles():
@@ -106,7 +109,7 @@ def test_offsets_and_denominator_check_leave_no_reference_cycles():
     try:
         for _ in range(10):
             list(offsets_up_to(3, 4))
-        assert verify_denominator_bases(A4).passed
+        assert verify_denominator_bases(A4)["status"] == "PASS"
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -143,13 +146,13 @@ def test_denominator_rejects_affine():
 
 def test_macdonald_affine_sl2():
     r = verify_rank2_macdonald(AFF, 8)
-    assert r.passed
-    coeffs = {tuple(t["offset"]): t["coefficient"] for t in r.details["rhs"]}
+    assert r["status"] == "PASS"
+    coeffs = {tuple(t["offset"]): t["coefficient"] for t in r["details"]["rhs"]}
     assert coeffs == {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1, (4, 4): 1}
 
 
 def test_macdonald_hyperbolic():
-    assert verify_rank2_macdonald(parse_gcm([[2, -3], [-3, 2]]), 6).passed
+    assert verify_rank2_macdonald(parse_gcm([[2, -3], [-3, 2]]), 6)["status"] == "PASS"
 
 
 def test_macdonald_rejects_finite_type():
@@ -164,30 +167,72 @@ def test_macdonald_rejects_wrong_rank():
 
 def test_wkw_vs_weights_sl2():
     r = verify_wkw_vs_weights(HighestWeight.of([3]), A1, 8)
-    assert r.passed and not r.expected_failure
+    assert r["status"] == "PASS" and not r["expected_failure"]
 
 
 def test_wkw_vs_weights_trivial_affine_fails_as_expected():
     r = verify_wkw_vs_weights(HighestWeight.of([0, 0]), AFF, 8)
-    assert not r.passed
-    assert r.expected_failure
-    disc = {tuple(t["offset"]): t["coefficient"] for t in r.details["discrepancy"]}
+    assert r["status"] == "FAIL"
+    assert r["expected_failure"]
+    disc = {tuple(t["offset"]): t["coefficient"] for t in r["details"]["discrepancy"]}
     assert disc == {(k, k): 1 for k in range(1, 5)}
 
 
 def test_integrability_partial():
     r = check_integrability_invariants(HighestWeight.of([1, Fraction(-7, 2)]), A2, 8)
-    assert r.passed
-    assert r.details["preserving"] == [0]
+    assert r["status"] == "PASS"
+    assert r["details"]["preserving"] == [0]
 
 
 def test_integrability_dominant_integral():
     r = check_integrability_invariants(HighestWeight.of([1, 2]), A2, 8)
-    assert r.passed
-    assert r.details["preserving"] == [0, 1]
+    assert r["status"] == "PASS"
+    assert r["details"]["preserving"] == [0, 1]
 
 
 def test_integrability_verma():
     r = check_integrability_invariants(HighestWeight.of([Fraction(-3, 2)]), A1, 8)
-    assert r.passed
-    assert r.details["preserving"] == []
+    assert r["status"] == "PASS"
+    assert r["details"]["preserving"] == []
+
+
+# One corpus input per check, with the call that checks it at height 8.
+DOCUMENT_CASES = {
+    "denominator": ("A2", None, lambda lam, g: verify_denominator_bases(g)),
+    "macdonald": ("aff_sl2", None, lambda lam, g: verify_rank2_macdonald(g, 8)),
+    "wkw": ("aff_sl2", ["0", "0"], lambda lam, g: verify_wkw_vs_weights(lam, g, 8)),
+    "integrability": ("fig_right", ["1", "2", "-1/2"],
+                      lambda lam, g: check_integrability_invariants(lam, g, 8)),
+    "cross": ("fig_right", ["1", "2", "-1/2"], lambda lam, g: verify_cross(lam, g, 8)),
+}
+
+
+@pytest.mark.parametrize("check", DOCUMENT_CASES)
+def test_checks_return_the_document_the_cli_prints(check, tmp_path):
+    name, qs, run_check = DOCUMENT_CASES[check]
+    doc = {"cartan": CORPUS_MATRICES[name]}
+    if qs is not None:
+        doc["lambda"] = qs
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    got = run_check(None if qs is None else HighestWeight.of(qs), parse_gcm(doc["cartan"]))
+    assert type(got) is dict
+    assert set(got) == {"check", "status", "expected_failure", "details"}
+    assert got["check"] == check and got["status"] in ("PASS", "FAIL")
+    out = io.StringIO()
+    cli.run(["verify", "--input", str(path), "--check", check, "--height", "8"],
+            out, io.StringIO())
+    assert json.loads(out.getvalue()) == got
+
+
+def test_cross_classifies_once(monkeypatch):
+    # The orbit formula decides the stabilizer itself; the check does not ask first.
+    calls = []
+    classify = cartan.classify
+    monkeypatch.setattr(cartan, "classify", lambda *args: calls.append(args) or classify(*args))
+    aff_rank3 = parse_gcm(CORPUS_MATRICES["aff_rank3"])
+    r = verify_cross(HighestWeight.of([1, 0, 0]), aff_rank3, 8)
+    assert len(calls) == 1
+    assert r["status"] == "PASS" and r["details"]["orbit_equal"] is True
+    r = verify_cross(HighestWeight.of([0, 0]), AFF, 8)
+    assert r["status"] == "PASS" and r["details"]["orbit_equal"] is None

@@ -376,19 +376,34 @@ def test_orbit_walk_matches_the_reflection_reference(case, data):
     want = _reference_walk(lam, g, nodes, seeds, height, depth)
     dist, whole = orbit_walk(lam, g, nodes, seeds, height=height, depth=depth)
     assert (list(dist.items()), whole) == (list(want[0].items()), want[1])  # visit order too
-    # Under a smaller budget the walk refuses at the same point, distance and message:
-    # at the first point a reflection adds past the budget (seeds are not checked).
+    # Under a smaller budget the walk refuses with the reference's message: before any
+    # reflection when the kept seeds are over the budget, else at the first point a
+    # reflection adds past it.
     budget = data.draw(st.integers(1, max(1, len(want[0]))))
-    refused = max(budget, sum(d == 0 for d in want[0].values()))
+    kept = sum(d == 0 for d in want[0].values())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(weyl, "WEYL_BUDGET", budget)
-        if len(want[0]) <= refused:
+        if kept > budget:
+            message = f"{kept} seeds; budget {budget}"
+        elif len(want[0]) <= budget:
             assert orbit_walk(lam, g, nodes, seeds, height=height, depth=depth) == want
             return
-        message = (f"{refused + 1} points by reflection distance "
-                   f"{list(want[0].values())[refused]}; budget {budget}")
+        else:
+            message = (f"{budget + 1} points by reflection distance "
+                       f"{list(want[0].values())[budget]}; budget {budget}")
         with pytest.raises(BudgetExceeded, match=f"^{message}$"):
             orbit_walk(lam, g, nodes, seeds, height=height, depth=depth)
+
+
+def test_walk_counts_its_seeds_against_the_budget(monkeypatch):
+    # At lambda = 0 no reflection moves a positive root of A2 to a new point, so
+    # only the seed count can refuse.
+    lam, roots = HighestWeight.of([0, 0]), [(1, 0), (0, 1), (1, 1)]
+    monkeypatch.setattr(weyl, "WEYL_BUDGET", 3)
+    assert orbit_walk(lam, A2, [0, 1], roots) == (dict.fromkeys(roots, 0), True)
+    monkeypatch.setattr(weyl, "WEYL_BUDGET", 1)
+    with pytest.raises(BudgetExceeded, match=r"^3 seeds; budget 1$"):
+        orbit_walk(lam, A2, [0, 1], roots)
 
 
 def test_height_walk_counts_points_against_the_budget(monkeypatch):
