@@ -6,7 +6,7 @@ from collections.abc import Callable, Hashable, Iterable, Sequence
 from fractions import Fraction
 
 from .errors import InputError
-from .lp import feasible
+from .lp import reduce
 
 
 class GCM:
@@ -101,20 +101,19 @@ def closure(seeds: Iterable[Hashable], successors: Callable[[Hashable], Iterable
 
 
 def _component_type(g: GCM, nodes: tuple[int, ...]) -> str:
-    # Vinberg trichotomy for an indecomposable GCM A, decided by exact LP:
-    #   Finite: exists u > 0 with Au > 0;  Affine: exists u > 0 with Au = 0.
-    # Both systems are homogeneous, so strictness can be replaced by >= 1.
-    k = len(nodes)
-    a = [[g.a[nodes[i]][nodes[j]] for j in range(k)] for i in range(k)]
-    row_sums = [sum(row) for row in a]
-    # Finite: A(x + 1) - s = 1, i.e. Ax - s = 1 - A1, x, s >= 0.
-    eq = [a[i] + [-1 if i == j else 0 for j in range(k)] for i in range(k)]
-    if feasible(eq, [1 - row_sums[i] for i in range(k)]) is not None:
-        return "Finite"
-    # Affine: A(x + 1) = 0, i.e. Ax = -A1, x >= 0.
-    if feasible(a, [-row_sums[i] for i in range(k)]) is not None:
-        return "Affine"
-    return "Indefinite"
+    # Kac, Thm 4.3, by the signs of the leading principal minors of the Z-matrix
+    # A.  `reduce` with p > 0 keeps each row a positive multiple of the rational
+    # Schur-complement row: once minors 1..t are > 0, pivot t has the sign of
+    # minor t + 1.  Finite: all minors > 0 <=> A is a nonsingular M-matrix <=>
+    # Au > 0 for some u > 0.  Affine: if A = [[B, c], [r, d]] has proper minors
+    # > 0 and det A = 0, u = (-B^-1 c, 1) >= 0 is nonzero with Au = 0, so A is
+    # neither Finite (det != 0) nor Indefinite; an affine A has these signs.
+    rows = [[g.a[i][j] for j in nodes] for i in nodes]
+    for t, pivot_row in enumerate(rows):  # each row as the steps before left it
+        if (p := pivot_row[t]) <= 0:
+            return "Affine" if p == 0 and t == len(rows) - 1 else "Indefinite"
+        rows[t + 1:] = [reduce(row, row[t], pivot_row, p) for row in rows[t + 1:]]
+    return "Finite"
 
 
 def classify(g: GCM, nodes: Iterable[int] | None = None) -> list[tuple[tuple[int, ...], str]]:

@@ -1,12 +1,10 @@
 """Exact integer elimination: rank and phase-1 simplex, and certificates to reuse.
 
-No floating point anywhere: the affine cases this package cares about sit
-exactly on the finite/indefinite boundary, and every A and b is integral
-(the hull's offsets and b = (c, 1), the Vinberg LPs' GCM entries).  One
-fraction-free step serves the rank (`independent_rows`) and the simplex
-(`feasible`): `reduce` eliminates one column of a row against a pivot row
-and divides out the gcd of the result.  `independent_rows` keeps an echelon
-sorted by pivot, each row from its pivot on.
+No floating point anywhere: affine diagrams sit exactly on the boundary of
+finite and indefinite, and every A and b is integral (the hull's offsets and
+b = (c, 1)).  One fraction-free step, `reduce`, serves the rank, diagram
+classification (`cartan`) and the simplex pivots: it eliminates one column
+of a row against a pivot row and divides out the gcd of the result.
 
 `feasible` is a revised phase-1 simplex on integer rows.  A `System` keeps
 A's rows and their columns A_j for many b; b enters a solve only through

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from kmweights import HighestWeight, parse_gcm
+from kmweights.lp import feasible
 from kmweights.series import decode, encode, mul_keys
 from kmweights.weights import integrability_set, neg
 from kmweights.weyl import enumerate_group
@@ -121,6 +122,24 @@ def fraction_phase1(a, b):
         return None, basis, inverse, [y * f for y, f in zip(duals, factor)]
     x = {basis[k]: tab[k][-1] for k in range(m) if basis[k] < n}
     return x, basis, inverse, None
+
+
+def vinberg_type(g, nodes):
+    """Reference for `cartan.classify`: one component's type by exact LP."""
+    # Vinberg trichotomy for an indecomposable GCM A, decided by exact LP:
+    #   Finite: exists u > 0 with Au > 0;  Affine: exists u > 0 with Au = 0.
+    # Both systems are homogeneous, so strictness can be replaced by >= 1.
+    k = len(nodes)
+    a = [[g.a[nodes[i]][nodes[j]] for j in range(k)] for i in range(k)]
+    row_sums = [sum(row) for row in a]
+    # Finite: A(x + 1) - s = 1, i.e. Ax - s = 1 - A1, x, s >= 0.
+    eq = [a[i] + [-1 if i == j else 0 for j in range(k)] for i in range(k)]
+    if feasible(eq, [1 - row_sums[i] for i in range(k)]) is not None:
+        return "Finite"
+    # Affine: A(x + 1) = 0, i.e. Ax = -A1, x >= 0.
+    if feasible(a, [-row_sums[i] for i in range(k)]) is not None:
+        return "Affine"
+    return "Indefinite"
 
 
 PAIRINGS = [0, 1, 2, -1, Fraction(-1, 2), Fraction(-3, 2), Fraction(1, 3)]

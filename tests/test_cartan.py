@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kmweights.cartan import (
     classify,
@@ -14,7 +16,7 @@ from kmweights.cartan import (
 )
 from kmweights.errors import InputError
 
-from conftest import small_gcms
+from conftest import CORPUS_MATRICES, small_gcms, vinberg_type
 
 FIG_LEFT = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 FIG_RIGHT = [[2, -2, -1], [-2, 2, 0], [-1, 0, 2]]
@@ -45,6 +47,9 @@ def test_parse_rejects_positive_offdiagonal():
         parse_gcm([[2, 1], [1, 2]])
 
 
+# matrix1 and matrix3 are A1^(1) and A2^(2).  The named cases are the other
+# affine matrices in Kac's convention (A times the marks is 0), and fig_right,
+# whose 2 x 2 leading minor is 0 although its determinant is not.
 @pytest.mark.parametrize(
     "matrix,expected",
     [
@@ -53,13 +58,66 @@ def test_parse_rejects_positive_offdiagonal():
         ([[2, -3], [-3, 2]], "Indefinite"),
         ([[2, -4], [-1, 2]], "Affine"),
         ([[2]], "Finite"),
+        pytest.param([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "Affine", id="A2^(1)"),
+        pytest.param([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], "Affine", id="C2^(1)"),
+        pytest.param([[2, -1, 0], [-1, 2, -1], [0, -3, 2]], "Affine", id="G2^(1)"),
+        pytest.param([[2, -1, 0], [-1, 2, -3], [0, -1, 2]], "Affine", id="D4^(3)"),
+        pytest.param([[2, 0, -1, 0, 0], [0, 2, -1, 0, 0], [-1, -1, 2, -1, -1],
+                      [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]], "Affine", id="D4^(1)"),
+        pytest.param(FIG_RIGHT, "Indefinite", id="fig_right"),
     ],
 )
 def test_classify_trichotomy(matrix, expected):
     g = parse_gcm(matrix)
     [(nodes, t)] = classify(g)
     assert nodes == tuple(range(g.n))
-    assert t == expected
+    assert t == expected == vinberg_type(g, nodes)
+
+
+@st.composite
+def gcms_and_direct_sums(draw):
+    """A random GCM of rank <= 6 with entries in -4..0, or the direct sum of
+    two of total rank <= 6 with their nodes shuffled together."""
+
+    def block(n):
+        a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i, j in combinations(range(n), 2):
+            a[i][j] = draw(st.sampled_from([0, 0, 0, -1, -1, -2, -3, -4]))
+            if a[i][j]:
+                a[j][i] = draw(st.integers(-4, -1))
+        return a
+
+    a = block(draw(st.integers(1, 6)))
+    if len(a) < 6 and draw(st.booleans()):
+        b = block(draw(st.integers(1, 6 - len(a))))
+        total = [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
+        order = draw(st.permutations(range(len(total))))
+        a = [[total[i][j] for j in order] for i in order]
+    return parse_gcm(a)
+
+
+@given(gcms_and_direct_sums(), st.sets(st.integers(0, 5)))
+@settings(max_examples=300, deadline=None)
+@example(parse_gcm([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]), {0, 1, 2})  # not symmetrizable
+def test_classify_matches_the_vinberg_lp(g, subset):
+    got = classify(g)
+    assert [t for _, t in got] == [vinberg_type(g, comp) for comp, _ in got]
+    assert classify(parse_gcm([list(col) for col in zip(*g.a)])) == got
+    nodes = [i for i in subset if i < g.n]
+    assert all(t == vinberg_type(g, comp) for comp, t in classify(g, nodes))
+
+
+def test_classify_solves_no_lp(monkeypatch):
+    # Every kmweights module that binds `feasible` gets one that raises.
+    def no_lp(*args, **kwargs):
+        raise AssertionError("lp.feasible called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kmweights") and hasattr(module, "feasible"):
+            monkeypatch.setattr(module, "feasible", no_lp)
+    for matrix in CORPUS_MATRICES.values():
+        g = parse_gcm(matrix)
+        assert is_finite_type(g) == (classify(g) == [(tuple(range(g.n)), "Finite")])
 
 
 def test_classify_splits_components():

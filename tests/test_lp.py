@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmweights import cartan, lp
+from kmweights import lp
 from kmweights.cartan import parse_gcm
 from kmweights.cli import run
 from kmweights.lp import Certificates, Proof, System, feasible, independent_rows, reduce
@@ -321,7 +321,6 @@ def test_every_cli_lp_is_integral(tmp_path, monkeypatch, name, qs):
         return feasible(a, b, proof)
 
     monkeypatch.setattr(lp, "feasible", integral)
-    monkeypatch.setattr(cartan, "feasible", integral)
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({"cartan": CORPUS_MATRICES[name], "lambda": qs}))
     for argv in (["classify"], ["weights", "--method", "hull", "--height", "4"],
